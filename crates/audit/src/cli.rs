@@ -1,33 +1,22 @@
-//! Shared command-line front end for the audit tooling.
-//!
-//! Both binaries route here — `carve-audit <args>` directly, and
-//! `carve-sim audit <args>` after prepending `lint` when no subcommand
-//! is named — so flags cannot skew between the two entry points.
+//! Command-line front end of the `carve-audit` binary.
 //!
 //! ```text
-//! lint    [--json] [ROOT]      run every rule; exit 1 on findings
-//! effects [--out PATH] [ROOT]  write the State-Access Matrix TSV
+//! lint [--json] [ROOT]   run every rule; exit 1 on findings
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::{analyze, effects, load_workspace, Analysis};
-
-/// Default location of the committed State-Access Matrix snapshot.
-pub const EFFECTS_SNAPSHOT: &str = "results/effects.tsv";
+use crate::{analyze, load_workspace, Analysis};
 
 const USAGE: &str = "\
 usage: carve-audit <command> [options]
 
 commands:
-  lint    [--json] [ROOT]      run all audit rules over the workspace
-                               (--json: machine-readable findings, sorted
-                               by (path, line, rule))
-  effects [--out PATH] [ROOT]  regenerate the State-Access Matrix
-                               (defaults to ROOT/results/effects.tsv)
+  lint [--json] [ROOT]   run all audit rules over the workspace
+                         (--json: machine-readable findings, sorted
+                         by (path, line, rule))
 
 ROOT defaults to the enclosing workspace of the current directory.
 exit codes: 0 clean, 1 findings, 2 usage/io error";
@@ -158,70 +147,10 @@ fn run_lint(args: &[String]) -> u8 {
     u8::from(!analysis.diags.is_empty())
 }
 
-fn run_effects(args: &[String]) -> u8 {
-    let mut out_path: Option<PathBuf> = None;
-    let mut root_arg: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("carve-audit: --out needs a path\n{USAGE}");
-                    return 2;
-                }
-            },
-            s if s.starts_with('-') => {
-                eprintln!("carve-audit: unknown effects option {s}\n{USAGE}");
-                return 2;
-            }
-            s if root_arg.is_none() => root_arg = Some(s),
-            s => {
-                eprintln!("carve-audit: unexpected argument {s}\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-    let root = match resolve_root(root_arg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("carve-audit: {e}");
-            return 2;
-        }
-    };
-    let files = match load_workspace(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("carve-audit: {e}");
-            return 2;
-        }
-    };
-    let analysis = analyze(&files);
-    let tsv = effects::matrix_tsv(&analysis.matrix);
-    let dest = out_path.unwrap_or_else(|| root.join(EFFECTS_SNAPSHOT));
-    if let Some(parent) = dest.parent() {
-        if let Err(e) = fs::create_dir_all(parent) {
-            eprintln!("carve-audit: creating {}: {e}", parent.display());
-            return 2;
-        }
-    }
-    if let Err(e) = fs::write(&dest, &tsv) {
-        eprintln!("carve-audit: writing {}: {e}", dest.display());
-        return 2;
-    }
-    println!(
-        "carve-audit: wrote {} ({} rows)",
-        dest.display(),
-        analysis.matrix.len()
-    );
-    0
-}
-
-/// The shared entry point. Returns the process exit code.
+/// The entry point. Returns the process exit code.
 pub fn run(args: &[String]) -> u8 {
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("effects") => run_effects(&args[1..]),
         Some("--help") | Some("-h") | Some("help") => {
             println!("{USAGE}");
             0
@@ -234,23 +163,6 @@ pub fn run(args: &[String]) -> u8 {
             eprintln!("{USAGE}");
             2
         }
-    }
-}
-
-/// Adapter for `carve-sim audit [...]`: historical invocations passed
-/// lint arguments directly, so prepend `lint` unless a subcommand is
-/// already named.
-pub fn run_embedded(args: &[String]) -> u8 {
-    let named = matches!(
-        args.first().map(String::as_str),
-        Some("lint") | Some("effects") | Some("--help") | Some("-h") | Some("help")
-    );
-    if named {
-        run(args)
-    } else {
-        let mut full = vec!["lint".to_string()];
-        full.extend(args.iter().cloned());
-        run(&full)
     }
 }
 
@@ -268,7 +180,6 @@ mod tests {
                 rule: Rule::WallClock,
                 message: "say \"no\" to\nwall clocks".into(),
             }],
-            matrix: Vec::new(),
             files_scanned: 7,
         };
         let j = findings_json(&analysis);
@@ -281,7 +192,6 @@ mod tests {
     fn empty_findings_render_as_empty_array() {
         let analysis = Analysis {
             diags: Vec::new(),
-            matrix: Vec::new(),
             files_scanned: 2,
         };
         let j = findings_json(&analysis);

@@ -1,12 +1,11 @@
 //! A minimal, dependency-free Rust lexer for the lint wall.
 //!
-//! The line-oriented scanner of v1 could be fooled by exactly the
-//! constructs this lexer understands: raw strings containing rule
-//! trigger words, `'a` lifetimes that look like unterminated char
-//! literals, and nested `/* /* */ */` block comments. The token stream
-//! produced here is what the item extractor ([`crate::items`]) and the
-//! effect analysis ([`crate::effects`]) operate on, so none of those
-//! layers ever sees text inside a literal or comment as code.
+//! A line-oriented scanner can be fooled by exactly the constructs this
+//! lexer understands: raw strings containing rule trigger words, `'a`
+//! lifetimes that look like unterminated char literals, and nested
+//! `/* /* */ */` block comments. The `order-sensitive-iteration` rule
+//! works on the token stream produced here, so it never sees text inside
+//! a literal or comment as code.
 //!
 //! This is deliberately not a full Rust lexer: numeric literal suffixes,
 //! shebangs, and multi-character operators are out of scope. Punctuation
@@ -14,8 +13,8 @@
 //! `=>` look at adjacent tokens. What *is* handled precisely:
 //!
 //! * line comments (`//`, `///`, `//!`) — kept as [`Tok::Comment`]
-//!   tokens so annotation conventions (`audit:allow`, `// exchange:`,
-//!   `// state:`, `// tick-context:`, `// determinism:`) stay visible,
+//!   tokens so `audit:allow` and `// determinism:` comments stay
+//!   visible,
 //! * block comments with arbitrary nesting — also kept, stamped with
 //!   their *starting* line,
 //! * string literals: `"…"` with escapes, byte strings `b"…"`, raw

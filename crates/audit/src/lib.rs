@@ -28,6 +28,14 @@
 //!   fast-path cache (`min_finish`, `min_arrival`, `next_event`,
 //!   `next_activity`) must contain an `// EQUIVALENCE:` comment block
 //!   arguing why skipping is bit-identical to stepping.
+//! * [`order-sensitive-iteration`] — in tick-path code, `.for_each(` or
+//!   `.values(` on a field declared in the same file as a `FastMap`/
+//!   `FastSet`/`Slab`/`TagTable`, whose arguments write something, needs
+//!   a `// determinism: <reason>` argument that the visiting order
+//!   cannot reach the result. The argument sits on the call's line, the
+//!   line before it, or earlier in an enclosing block (it then covers the
+//!   rest of that block).
+//! * [`stale-allow`] — an allow-comment that suppresses nothing.
 //!
 //! Any finding can be suppressed in place with an allow-comment on the
 //! same or the immediately preceding line:
@@ -38,15 +46,17 @@
 //! ```
 //!
 //! The rule name must match and the reason must be non-empty, otherwise
-//! the finding still fires. Run the scanner with `carve-audit lint` (or
-//! `carve-sim audit`); it exits non-zero and prints `file:line: rule:
-//! message` diagnostics on any finding.
+//! the finding still fires. Run the scanner with `carve-audit lint`; it
+//! exits non-zero and prints `file:line: rule: message` diagnostics on any
+//! finding.
 //!
 //! [`tick-path-collections`]: Rule::TickPathCollections
 //! [`wall-clock`]: Rule::WallClock
 //! [`tick-path-panics`]: Rule::TickPathPanics
 //! [`lossy-cast`]: Rule::LossyCast
 //! [`equivalence-doc`]: Rule::EquivalenceDoc
+//! [`order-sensitive-iteration`]: Rule::OrderSensitiveIteration
+//! [`stale-allow`]: Rule::StaleAllow
 //! [`Cycle`]: https://docs.rs/ (sim-core::Cycle)
 
 use std::collections::BTreeSet;
@@ -56,9 +66,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub mod cli;
-pub mod effects;
-pub mod items;
 pub mod lex;
+
+use lex::{Tok, Token};
 
 /// The rules the scanner knows, with their allow-comment names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +84,6 @@ pub enum Rule {
     LossyCast,
     /// Event-cache module missing its `// EQUIVALENCE:` block.
     EquivalenceDoc,
-    /// A tick function writing another GPU's state (or undeclared
-    /// state) outside an `// exchange:` region. See [`effects`].
-    CrossGpuWrite,
     /// `for_each`/`values` iteration over an order-carrying container
     /// with writes in its body and no `// determinism:` argument.
     OrderSensitiveIteration,
@@ -94,21 +101,19 @@ impl Rule {
             Rule::TickPathPanics => "tick-path-panics",
             Rule::LossyCast => "lossy-cast",
             Rule::EquivalenceDoc => "equivalence-doc",
-            Rule::CrossGpuWrite => "cross-gpu-write",
             Rule::OrderSensitiveIteration => "order-sensitive-iteration",
             Rule::StaleAllow => "stale-allow",
         }
     }
 
     /// All rules, for `--list` style output.
-    pub fn all() -> [Rule; 8] {
+    pub fn all() -> [Rule; 7] {
         [
             Rule::TickPathCollections,
             Rule::WallClock,
             Rule::TickPathPanics,
             Rule::LossyCast,
             Rule::EquivalenceDoc,
-            Rule::CrossGpuWrite,
             Rule::OrderSensitiveIteration,
             Rule::StaleAllow,
         ]
@@ -190,7 +195,7 @@ fn split_comment(line: &str) -> (&str, &str) {
 /// Parses `audit:allow(rule) reason` out of a comment fragment. Returns
 /// `Some((rule_name, reason))` when the syntax is present (reason may be
 /// empty — the caller decides whether that suppresses).
-pub(crate) fn parse_allow(comment: &str) -> Option<(&str, &str)> {
+fn parse_allow(comment: &str) -> Option<(&str, &str)> {
     let idx = comment.find("audit:allow(")?;
     let rest = &comment[idx + "audit:allow(".len()..];
     let close = rest.find(')')?;
@@ -376,7 +381,8 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
     let mut test_pending = false;
     let mut test_depth: i64 = 0;
     let mut has_equivalence = false;
-    let mut first_marker: Option<(usize, &str)> = None;
+    // (line, marker, allow-comment line suppressing the finding)
+    let mut first_marker: Option<(usize, &str, Option<usize>)> = None;
 
     for line in logical_lines(content) {
         let line_no = line.no;
@@ -388,28 +394,16 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
             has_equivalence = true;
         }
 
-        // Inside a `#[cfg(test)] mod`: only track braces until it closes.
-        if test_depth > 0 {
-            for b in code.bytes() {
-                match b {
-                    b'{' => test_depth += 1,
-                    b'}' => test_depth -= 1,
-                    _ => {}
-                }
+        // The item after `#[cfg(test)]` is skipped: a `mod … {` until its
+        // braces close, anything else (a lone fn or use) for just its
+        // first line, conservatively.
+        let arms = trimmed.starts_with("#[cfg(test)]");
+        let armed_item = test_pending && !arms && !trimmed.is_empty() && !trimmed.starts_with("//");
+        if test_depth > 0 || arms || armed_item {
+            if test_depth == 0 {
+                test_pending = arms;
             }
-            prev_line = line.raw;
-            prev_no = line_no;
-            continue;
-        }
-        if trimmed.starts_with("#[cfg(test)]") {
-            test_pending = true;
-            prev_line = line.raw;
-            prev_no = line_no;
-            continue;
-        }
-        if test_pending && !trimmed.is_empty() && !trimmed.starts_with("//") {
-            test_pending = false;
-            if trimmed.starts_with("mod") && code.contains('{') {
+            if test_depth > 0 || (armed_item && trimmed.starts_with("mod")) {
                 for b in code.bytes() {
                     match b {
                         b'{' => test_depth += 1,
@@ -417,12 +411,7 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
                         _ => {}
                     }
                 }
-                prev_line = line.raw;
-                prev_no = line_no;
-                continue;
             }
-            // `#[cfg(test)]` on a non-module item (a lone fn or use):
-            // skip just that line, conservatively.
             prev_line = line.raw;
             prev_no = line_no;
             continue;
@@ -451,7 +440,9 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
             if first_marker.is_none() {
                 for m in EVENT_CACHE_MARKERS {
                     if code.contains(m) {
-                        first_marker = Some((line_no, m));
+                        let allow =
+                            allowed(Rule::EquivalenceDoc, comment, line_no, &prev_line, prev_no);
+                        first_marker = Some((line_no, m, allow));
                         break;
                     }
                 }
@@ -563,7 +554,9 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
     }
 
     if tick_path && !has_equivalence {
-        if let Some((line, marker)) = first_marker {
+        if let Some((_, _, Some(allow))) = first_marker {
+            out.used_allows.insert(allow);
+        } else if let Some((line, marker, None)) = first_marker {
             diags.push(Diagnostic {
                 file: rel.to_string(),
                 line,
@@ -576,8 +569,223 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
         }
     }
 
-    diags.sort_by(|a, b| (a.line, a.rule.name()).cmp(&(b.line, b.rule.name())));
+    if tick_path {
+        order_sensitive_iteration(rel, content, &mut out);
+    }
+    out.diags
+        .sort_by(|a, b| (a.line, a.rule.name()).cmp(&(b.line, b.rule.name())));
     out
+}
+
+/// Container types whose `for_each`/`values` order is an implementation
+/// detail (slot or hash order) that a determinism argument must cover.
+const ORDERED_TYPES: [&str; 4] = ["FastMap", "FastSet", "Slab", "TagTable"];
+
+/// Methods that mutate their receiver, on the `std` and `sim_core` types
+/// the tick path uses.
+const MUT_METHODS: &str = "insert insert_if_absent remove push push_back push_front pop \
+    pop_back pop_front clear drain record take replace untracked_token extend append truncate \
+    retain get_mut iter_mut resize fill sort sort_unstable set add";
+
+/// Index one past the group that opens at `toks[open]` (`(`, `[` or `{`).
+fn group_end(toks: &[Token], open: usize) -> usize {
+    let Tok::Punct(o) = toks[open].tok else {
+        return open + 1;
+    };
+    let c = match o {
+        '(' => ')',
+        '[' => ']',
+        _ => '}',
+    };
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct(o) {
+            depth += 1;
+        } else if t.is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+    }
+    toks.len()
+}
+
+/// Names of struct fields declared in `toks` whose type mentions one of
+/// [`ORDERED_TYPES`] (`pending: Slab<Pending>`, `issue_time:
+/// Vec<TagTable<u64>>`).
+fn ordered_fields(toks: &[Token]) -> BTreeSet<&str> {
+    let mut out = BTreeSet::new();
+    for s in (0..toks.len()).filter(|&s| toks[s].ident() == Some("struct")) {
+        // Tuple and unit structs reach a `;` before any `{`.
+        let Some(open) = (s..toks.len())
+            .find(|&j| toks[j].is_punct('{') || toks[j].is_punct(';'))
+            .filter(|&j| toks[j].is_punct('{'))
+        else {
+            continue;
+        };
+        let mut depth = 0i32;
+        let mut field: Option<&str> = None;
+        for j in open + 1..group_end(toks, open) - 1 {
+            match &toks[j].tok {
+                Tok::Punct('(' | '[' | '{' | '<') => depth += 1,
+                // `->` in a fn-pointer type closes nothing.
+                Tok::Punct('>') if j > 0 && toks[j - 1].is_punct('-') => {}
+                Tok::Punct(')' | ']' | '}' | '>') => depth -= 1,
+                Tok::Punct(',') if depth == 0 => field = None,
+                Tok::Ident(name) if depth == 0 && field.is_none() => {
+                    let colon = toks.get(j + 1).is_some_and(|t| t.is_punct(':'));
+                    if colon && !toks.get(j + 2).is_some_and(|t| t.is_punct(':')) {
+                        field = Some(name);
+                    }
+                }
+                Tok::Ident(ty) if ORDERED_TYPES.contains(&ty.as_str()) => {
+                    if let Some(f) = field {
+                        out.insert(f);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// Whether iteration-closure argument tokens write anything: an
+/// assignment or compound assignment (not a comparison, `=>` or `let`
+/// binding), or a call to one of [`MUT_METHODS`].
+fn args_write(toks: &[Token]) -> bool {
+    toks.iter().enumerate().any(|(i, t)| match &t.tok {
+        Tok::Punct('=') => {
+            let next_eq_or_arrow = toks
+                .get(i + 1)
+                .is_some_and(|t| t.is_punct('=') || t.is_punct('>'));
+            // `+=`-style compounds put an operator before the '='; of
+            // those, only `==`, `!=`, `<=`, `>=` are comparisons (`<<=`
+            // and `>>=` are shifts).
+            let prev = |k: usize| i.checked_sub(k).map(|p| &toks[p].tok);
+            let shift = matches!(
+                (prev(2), prev(1)),
+                (Some(Tok::Punct('<')), Some(Tok::Punct('<')))
+                    | (Some(Tok::Punct('>')), Some(Tok::Punct('>')))
+            );
+            let prev_cmp = !shift && matches!(prev(1), Some(Tok::Punct('=' | '!' | '<' | '>')));
+            let is_let_binding = toks[..i]
+                .iter()
+                .rev()
+                .take_while(|t| !t.is_punct(';') && !t.is_punct('{') && !t.is_punct('|'))
+                .any(|t| t.ident() == Some("let"));
+            !next_eq_or_arrow && !prev_cmp && !is_let_binding
+        }
+        Tok::Ident(name) => {
+            i > 0
+                && toks[i - 1].is_punct('.')
+                && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+                && MUT_METHODS.split_whitespace().any(|m| m == name)
+        }
+        _ => false,
+    })
+}
+
+/// Whether a comment carries `determinism: <non-empty reason>`.
+fn determinism_reason(comment: &str) -> bool {
+    comment
+        .split("determinism:")
+        .nth(1)
+        .is_some_and(|rest| !rest.trim().is_empty())
+}
+
+/// `order-sensitive-iteration` over one tick-path file's tokens: a
+/// `<recv>.for_each(` / `<recv>.values(` call whose receiver ends in an
+/// [`ordered_fields`] name and whose arguments write, with no
+/// determinism argument or allow-comment in reach.
+fn order_sensitive_iteration(rel: &str, content: &str, out: &mut FileScan) {
+    let toks = lex::lex(content);
+    let fields = ordered_fields(&toks);
+    if fields.is_empty() {
+        return;
+    }
+    // Comments on `line` or the line before, with their line numbers.
+    let near = |line: usize| {
+        toks.iter()
+            .filter(move |t| t.line == line || t.line + 1 == line)
+            .filter_map(|t| t.comment().map(|c| (t.line, c)))
+    };
+    // Brace depths of the blocks a `// determinism:` argument covers.
+    let mut scopes: Vec<usize> = Vec::new();
+    let mut depth = 0usize;
+    let mut i = 0;
+    while i < toks.len() {
+        let t = &toks[i];
+        match &t.tok {
+            Tok::Comment(c) if depth > 0 && determinism_reason(c) => scopes.push(depth),
+            Tok::Punct('{') => depth += 1,
+            Tok::Punct('}') => {
+                depth = depth.saturating_sub(1);
+                scopes.retain(|&d| d <= depth);
+            }
+            // `#[cfg(test)] mod … { … }`: test code is out of scope.
+            Tok::Punct('#')
+                if toks.get(i + 2).and_then(Token::ident) == Some("cfg")
+                    && toks.get(i + 4).and_then(Token::ident) == Some("test")
+                    && toks.get(i + 7).and_then(Token::ident) == Some("mod") =>
+            {
+                let body =
+                    (i..toks.len()).find(|&j| toks[j].is_punct('{') || toks[j].is_punct(';'));
+                if let Some(open) = body.filter(|&j| toks[j].is_punct('{')) {
+                    i = group_end(&toks, open);
+                    continue;
+                }
+            }
+            Tok::Ident(m)
+                if (m == "for_each" || m == "values")
+                    && i >= 2
+                    && toks[i - 1].is_punct('.')
+                    && toks.get(i + 1).is_some_and(|t| t.is_punct('(')) =>
+            {
+                // The receiver's last identifier, looking through one
+                // index expression (`issue_time[g].for_each(`).
+                let mut r = i - 2;
+                if toks[r].is_punct(']') {
+                    let open = (0..r)
+                        .rev()
+                        .find(|&j| toks[j].is_punct('[') && group_end(&toks, j) == r + 1);
+                    r = open.map_or(0, |j| j.saturating_sub(1));
+                }
+                let field = toks[r].ident().filter(|f| fields.contains(f));
+                let args = &toks[i + 2..group_end(&toks, i + 1).saturating_sub(1)];
+                if let Some(field) = field.filter(|_| args_write(args)) {
+                    let argued =
+                        !scopes.is_empty() || near(t.line).any(|(_, c)| determinism_reason(c));
+                    let allow = || {
+                        near(t.line).find(|(_, c)| {
+                            parse_allow(c).is_some_and(|(name, reason)| {
+                                name == Rule::OrderSensitiveIteration.name() && !reason.is_empty()
+                            })
+                        })
+                    };
+                    if argued {
+                        // An allow beside an argument stays unused: stale.
+                    } else if let Some((l, _)) = allow() {
+                        out.used_allows.insert(l);
+                    } else {
+                        out.diags.push(Diagnostic {
+                            file: rel.to_string(),
+                            line: t.line,
+                            rule: Rule::OrderSensitiveIteration,
+                            message: format!(
+                                "`.{m}()` over `{field}` (an order-carrying container) \
+                                 writes in its body; argue that the visiting order cannot \
+                                 reach the result with `// determinism: <reason>`"
+                            ),
+                        });
+                    }
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
 }
 
 /// Recursively collects `.rs` files under `dir` into `out`.
@@ -635,14 +843,11 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Combined result of the line rules, the tick-path effect analysis,
-/// and `stale-allow` reconciliation.
+/// Combined result of every rule plus `stale-allow` reconciliation.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// All findings, sorted by (file, line, rule, message).
     pub diags: Vec<Diagnostic>,
-    /// The State-Access Matrix (see [`effects`]).
-    pub matrix: Vec<effects::MatrixRow>,
     pub files_scanned: usize,
 }
 
@@ -660,9 +865,6 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
         }
         used.extend(scan.used_allows.into_iter().map(|l| (rel.clone(), l)));
     }
-    let eff = effects::analyze_effects(files);
-    diags.extend(eff.diags);
-    used.extend(eff.used_allows);
     for (file, line, rule) in sites {
         if !used.contains(&(file.clone(), line)) {
             diags.push(Diagnostic {
@@ -686,7 +888,6 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
     });
     Analysis {
         diags,
-        matrix: eff.rows,
         files_scanned: files.len(),
     }
 }
@@ -944,6 +1145,131 @@ mod tests {
         let files = [(TICK.to_string(), src.to_string())];
         let analysis = analyze(&files);
         assert!(analysis.diags.is_empty(), "{:?}", analysis.diags);
+    }
+
+    /// One seeded violation per rule as `(file, fires, silenced)`, where
+    /// `silenced` is the same code under a reasoned allow. The `match`
+    /// has no wildcard arm, so a new rule cannot compile without a
+    /// fixture. `stale-allow` is silenced by putting its allow to use.
+    fn fixture(rule: Rule) -> (&'static str, String, String) {
+        let (file, fires) = match rule {
+            Rule::TickPathCollections => (TICK, "use std::collections::HashMap;\n"),
+            Rule::WallClock => ("crates/system/src/metrics.rs", "let t = Instant::now();\n"),
+            Rule::TickPathPanics => (TICK, "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n"),
+            Rule::LossyCast => (TICK, "fn f(now: u64) -> u32 { now as u32 }\n"),
+            Rule::EquivalenceDoc => (TICK, "struct Ch { min_finish: u64 }\n"),
+            Rule::OrderSensitiveIteration => {
+                let allow = "// audit:allow(order-sensitive-iteration) summation commutes";
+                let call = "        self.pending";
+                let silenced = SLAB_SUM.replace(call, &format!("        {allow}\n{call}"));
+                return (TICK, SLAB_SUM.to_string(), silenced);
+            }
+            Rule::StaleAllow => {
+                let (_, cast, cast_allowed) = fixture(Rule::LossyCast);
+                return (
+                    TICK,
+                    cast_allowed.replace(&cast, "fn f() {}\n"),
+                    cast_allowed,
+                );
+            }
+        };
+        let silenced = format!("// audit:allow({}) reason given\n{fires}", rule.name());
+        (file, fires.to_string(), silenced)
+    }
+
+    #[test]
+    fn every_rule_has_a_fixture_that_fires_and_an_allow_that_silences() {
+        for rule in Rule::all() {
+            let (file, fires, silenced) = fixture(rule);
+            let run = |src: &str| analyze(&[(file.to_string(), src.to_string())]).diags;
+            assert_eq!(rules_of(&run(&fires)), [rule.name()], "{rule:?} fixture");
+            assert!(run(&silenced).is_empty(), "{rule:?}: {:?}", run(&silenced));
+        }
+    }
+
+    const SLAB_SUM: &str = "\
+struct System {
+    pending: Slab<Pending>,
+    total: u64,
+}
+impl System {
+    fn tick(&mut self) {
+        let total = &mut self.total;
+        self.pending.for_each(|_, p| *total += p.bytes);
+    }
+}
+";
+
+    #[test]
+    fn order_sensitive_iteration_fires_on_writing_slab_walk() {
+        let d = scan_file(TICK, SLAB_SUM);
+        assert_eq!(rules_of(&d), ["order-sensitive-iteration"]);
+        assert_eq!(d[0].line, 8);
+        assert!(d[0].message.contains("`pending`"), "{}", d[0].message);
+        // A shift-assign is a write, not a comparison.
+        let shift = SLAB_SUM.replace("*total += p.bytes", "*total <<= p.bytes");
+        assert_eq!(
+            rules_of(&scan_file(TICK, &shift)),
+            ["order-sensitive-iteration"]
+        );
+        // Through an index into a per-GPU table, via a mutating call, past
+        // a tuple struct.
+        let indexed = "struct Id(u64);\nstruct S { seen: Vec<TagTable<u64>>, out: Vec<u64> }\n\
+                       fn f(s: &mut S, g: usize) { s.seen[g].for_each(|_, v| s.out.push(*v)); }\n";
+        assert_eq!(
+            rules_of(&scan_file(TICK, indexed)),
+            ["order-sensitive-iteration"]
+        );
+    }
+
+    #[test]
+    fn determinism_argument_silences_order_sensitive_iteration() {
+        let preceding = SLAB_SUM.replace(
+            "        self.pending",
+            "        // determinism: summation commutes\n        self.pending",
+        );
+        assert!(scan_file(TICK, &preceding).is_empty());
+        let same_line =
+            SLAB_SUM.replace("p.bytes);", "p.bytes); // determinism: summation commutes");
+        assert!(scan_file(TICK, &same_line).is_empty());
+        let block = SLAB_SUM.replace(
+            "fn tick(&mut self) {",
+            "fn tick(&mut self) {\n        // determinism: summation commutes\n",
+        );
+        assert!(scan_file(TICK, &block).is_empty());
+        // An argument without a reason, or in a block that has closed,
+        // covers nothing.
+        let bare = preceding.replace("summation commutes", "");
+        assert_eq!(
+            rules_of(&scan_file(TICK, &bare)),
+            ["order-sensitive-iteration"]
+        );
+        let closed = SLAB_SUM.replace(
+            "impl System {",
+            "fn g() {\n    // determinism: unrelated\n}\nimpl System {",
+        );
+        assert_eq!(
+            rules_of(&scan_file(TICK, &closed)),
+            ["order-sensitive-iteration"]
+        );
+    }
+
+    #[test]
+    fn order_sensitive_iteration_ignores_non_field_and_read_only_walks() {
+        // A local `Vec` reset in place (the `noc` distance-table shape).
+        let local = "struct T { seen: FastSet }\n\
+                     fn f(n: usize) { let mut dist = vec![0u32; n]; \
+                     dist.iter_mut().for_each(|d| *d = u32::MAX); }\n";
+        assert!(scan_file(TICK, local).is_empty());
+        // `TagTable::values` used as a path, folded with `.min()`.
+        let path = "struct S { issue_time: Vec<TagTable<u64>> }\n\
+                    fn f(s: &S) -> Option<u64> { s.issue_time.iter().flat_map(TagTable::values).min().copied() }\n";
+        assert!(scan_file(TICK, path).is_empty());
+        // Read-only body: comparisons and `=>` are not writes.
+        let read_only = SLAB_SUM.replace("*total += p.bytes", "if p.bytes == 0 { () } else { () }");
+        assert!(scan_file(TICK, &read_only).is_empty());
+        // The same writing walk outside the tick path.
+        assert!(scan_file("crates/runtime/src/sharing.rs", SLAB_SUM).is_empty());
     }
 
     #[test]

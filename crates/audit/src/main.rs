@@ -1,13 +1,11 @@
-//! `carve-audit` — the workspace lint wall and effect analysis.
+//! `carve-audit` — the workspace lint wall.
 //!
 //! ```text
-//! carve-audit lint    [--json] [WORKSPACE_ROOT]
-//! carve-audit effects [--out PATH] [WORKSPACE_ROOT]
+//! carve-audit lint [--json] [WORKSPACE_ROOT]
 //! ```
 //!
-//! All argument handling lives in [`carve_audit::cli`], which is the
-//! same entry point `carve-sim audit` uses — the two front ends cannot
-//! drift apart. Exit status: 0 clean, 1 findings, 2 usage/IO error.
+//! Argument handling lives in [`carve_audit::cli`]. Exit status: 0 clean,
+//! 1 findings, 2 usage/IO error.
 
 use std::process::ExitCode;
 

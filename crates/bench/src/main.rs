@@ -33,7 +33,7 @@ use carve::imst::Imst;
 use carve_cache::mshr::MshrFile;
 use carve_gpu::Tlb;
 use carve_runtime::page_table::{PageTable, PlacementPolicy};
-use carve_system::{Design, SimConfig};
+use carve_system::{Design, EngineMode, SimConfig};
 use experiments::{par, Campaign};
 use sim_core::Cycle;
 
@@ -384,11 +384,7 @@ fn write_hotpath_json(
     baseline_mcyc: Option<f64>,
 ) -> std::io::Result<()> {
     use std::io::Write;
-    let engine = if std::env::var_os("CARVE_STEP").is_some() {
-        "step"
-    } else {
-        "event-skip"
-    };
+    let engine = EngineMode::from_env().label();
     let mut out = std::fs::File::create(path)?;
     writeln!(out, "{{")?;
     writeln!(out, "  \"schema\": \"carve-bench-hotpath-v1\",")?;

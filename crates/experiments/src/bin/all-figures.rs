@@ -9,8 +9,6 @@
 //! `--timeline` to journal interval telemetry for every freshly simulated
 //! point to `results/all-figures.timeline.csv`.
 
-use std::path::Path;
-
 use carve_system::{Design, SimConfig};
 use carve_trace::WorkloadSpec;
 use experiments::{figures, Campaign};
@@ -83,8 +81,7 @@ fn main() {
     figures::table5(&mut c).emit();
     figures::fig14(&mut c).emit();
     if bench_json {
-        let dir = std::env::var("CARVE_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-        let path = Path::new(&dir).join("BENCH_engine.json");
+        let path = experiments::results_dir().join("BENCH_engine.json");
         c.write_bench_json(&path).expect("write BENCH_engine.json");
         eprintln!("wrote {}", path.display());
     }

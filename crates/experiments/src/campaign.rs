@@ -29,8 +29,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use carve_system::{
-    profile_workload, try_run_with_profile, Design, ProfileReport, ScaledConfig, SharingProfile,
-    SimConfig, SimError, SimResult, Timeline,
+    profile_workload, try_run_with_profile, Design, EngineMode, ProfileReport, ScaledConfig,
+    SharingProfile, SimConfig, SimError, SimResult, Timeline,
 };
 use carve_trace::{workloads, WorkloadSpec};
 
@@ -462,9 +462,9 @@ impl Campaign {
         if self.timelines.is_empty() {
             return Ok(None);
         }
-        let dir = std::env::var("CARVE_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+        let dir = crate::results_dir();
         std::fs::create_dir_all(&dir)?;
-        let path = Path::new(&dir).join(format!("{name}.timeline.csv"));
+        let path = dir.join(format!("{name}.timeline.csv"));
         self.write_timeline_csv_to(&path)?;
         Ok(Some(path))
     }
@@ -492,9 +492,9 @@ impl Campaign {
         if self.stall_profiles.is_empty() {
             return Ok(None);
         }
-        let dir = std::env::var("CARVE_RESULTS_DIR").unwrap_or_else(|_| "results".into());
+        let dir = crate::results_dir();
         std::fs::create_dir_all(&dir)?;
-        let path = Path::new(&dir).join(format!("{name}.profile.tsv"));
+        let path = dir.join(format!("{name}.profile.tsv"));
         self.write_profile_tsv_to(&path)?;
         Ok(Some(path))
     }
@@ -556,8 +556,7 @@ impl Campaign {
     /// (`CARVE_RESULTS_DIR`, default `results/`), resuming from any
     /// records already on disk. Returns the number of points resumed.
     pub fn set_journal(&mut self, name: &str) -> Result<usize, SimError> {
-        let dir = std::env::var("CARVE_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-        self.set_journal_path(&Path::new(&dir).join(format!("{name}.journal")))
+        self.set_journal_path(&crate::results_dir().join(format!("{name}.journal")))
     }
 
     /// [`Campaign::set_journal`] with an explicit file path.
@@ -887,11 +886,7 @@ impl Campaign {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let engine = if std::env::var_os("CARVE_STEP").is_some() {
-            "step"
-        } else {
-            "event-skip"
-        };
+        let engine = EngineMode::from_env().label();
         let total: f64 = self.timings.iter().map(|t| t.millis).sum();
         let mut out = std::fs::File::create(path)?;
         writeln!(out, "{{")?;

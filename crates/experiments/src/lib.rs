@@ -27,3 +27,10 @@ pub mod table;
 
 pub use campaign::{Campaign, PointFailure, PointTiming};
 pub use table::Table;
+
+/// Where campaign outputs go: `CARVE_RESULTS_DIR`, default `results/`.
+pub fn results_dir() -> std::path::PathBuf {
+    std::env::var("CARVE_RESULTS_DIR")
+        .unwrap_or_else(|_| "results".into())
+        .into()
+}

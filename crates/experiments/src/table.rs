@@ -2,7 +2,6 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
 
 /// A simple results table: header row plus data rows.
 #[derive(Debug, Clone)]
@@ -132,8 +131,7 @@ impl Table {
                 println!("{chart}");
             }
         }
-        let dir = std::env::var("CARVE_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-        let path = PathBuf::from(dir);
+        let path = crate::results_dir();
         if fs::create_dir_all(&path).is_ok() {
             let file = path.join(format!("{}.tsv", self.id));
             if let Ok(mut f) = fs::File::create(&file) {

@@ -6,8 +6,6 @@
 //! carve-sim trace <workload> [options]    # run with telemetry + event trace
 //! carve-sim compare <workload>            # all designs side by side
 //! carve-sim profile <workload> [options]  # sharing profile + cycle accounting
-//! carve-sim audit [lint|effects] [args]   # carve-audit front end (lint wall,
-//!                                         # state-access matrix); bare args = lint
 //! carve-sim fuzz [options]                # randomized fault-injection fuzzer
 //!
 //! options for `run` and `trace`:
@@ -50,7 +48,7 @@
 //! results/profile/<workload>).
 //!
 //! exit codes: 0 success, 1 simulation failure (including sanitizer
-//! violations) or audit findings, 2 usage error, 3 watchdog stall.
+//! violations), 2 usage error, 3 watchdog stall.
 //! ```
 
 use std::process::ExitCode;
@@ -455,7 +453,7 @@ fn run_error_code(e: &SimError) -> u8 {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: carve-sim <list|run|trace|compare|profile|audit|fuzz> [args]  (see --help in source header)"
+        "usage: carve-sim <list|run|trace|compare|profile|fuzz> [args]  (see --help in source header)"
     );
     ExitCode::from(EXIT_USAGE)
 }
@@ -707,11 +705,6 @@ fn main() -> ExitCode {
                 }
             };
             run_fuzz(&parsed)
-        }
-        Some("audit") => {
-            // Same entry point as the standalone `carve-audit` binary;
-            // bare `carve-sim audit [ROOT]` still means `lint`.
-            ExitCode::from(carve_audit::cli::run_embedded(&args[1..]))
         }
         _ => usage(),
     }

@@ -175,58 +175,58 @@ struct Traffic {
 }
 
 struct System {
-    cfg: ScaledConfig,             // state: shared (read-only after build)
-    design: Design,                // state: shared (read-only after build)
-    num_gpus: usize,               // state: shared (read-only after build)
-    cores: Vec<GpuCore>,           // state: gpu-local
-    drams: Vec<DramModel>,         // state: gpu-local
-    net: LinkNetwork,              // state: shared (single serialized fabric)
-    cpu_mem: FlatMemory,           // state: shared (one CPU memory for all GPUs)
-    pt: PageTable,                 // state: shared (one page table for all GPUs)
-    carve: Option<Carve>,          // state: shared (directory + per-GPU RDCs behind one facade)
-    predictors: Vec<HitPredictor>, // state: gpu-local
+    cfg: ScaledConfig,
+    design: Design,
+    num_gpus: usize,
+    cores: Vec<GpuCore>,
+    drams: Vec<DramModel>,
+    net: LinkNetwork,
+    cpu_mem: FlatMemory,
+    pt: PageTable,
+    carve: Option<Carve>,
+    predictors: Vec<HitPredictor>,
     /// In-flight system transactions. The slab token *is* the wire token
     /// carried by DRAM/NoC/CPU-memory models, so lookups on completion are
     /// a direct slot index (no hashing). Tokens are unique and strictly
     /// increasing in allocation order — the `delayed` heap's tiebreak
     /// relies on that — and fire-and-forget payloads draw ordered tokens
     /// from the same sequence via `untracked_token`.
-    pending: Slab<Pending>, // state: shared (one token space for all flows)
+    pending: Slab<Pending>,
     /// Home responses keyed by due cycle: a min-heap so each tick pops
     /// only the entries that are due instead of scanning everything.
-    delayed: BinaryHeap<Reverse<(u64, u64)>>, // (due cycle, token); state: shared
-    ext_retry: Vec<VecDeque<(u64, u64)>>, // per home: (token, line); state: gpu-local
-    dram_retry: Vec<VecDeque<u64>>, // per gpu: write addresses; state: gpu-local
-    traffic: Traffic,              // state: shared (global counters)
-    migrations_buf: Vec<PageMigration>, // state: shared (global migration queue)
+    delayed: BinaryHeap<Reverse<(u64, u64)>>, // (due cycle, token)
+    ext_retry: Vec<VecDeque<(u64, u64)>>, // per home: (token, line)
+    dram_retry: Vec<VecDeque<u64>>,       // per gpu: write addresses
+    traffic: Traffic,
+    migrations_buf: Vec<PageMigration>,
     /// Per requester GPU, keyed by the core's miss tag: issue cycle of the
     /// warp-visible read (latency histogram bookkeeping).
-    issue_time: Vec<TagTable<u64>>, // state: gpu-local
-    read_latency: sim_core::Histogram, // state: shared (one global histogram)
-    rdc_caches_sysmem: bool,       // state: shared (read-only after build)
+    issue_time: Vec<TagTable<u64>>,
+    read_latency: sim_core::Histogram,
+    rdc_caches_sysmem: bool,
     /// Per requester GPU, keyed by miss tag: line to fill into the RDC
     /// when a footnote-2 CPU read returns.
-    cpu_fill_lines: Vec<TagTable<u64>>, // state: gpu-local
+    cpu_fill_lines: Vec<TagTable<u64>>,
     /// Scratch for draining cores' completed external reads each tick
     /// without allocating.
-    ext_done_scratch: Vec<(u64, Cycle)>, // state: scratch
+    ext_done_scratch: Vec<(u64, Cycle)>,
     /// Scratch for DRAM / CPU-memory completions drained each tick.
-    comp_scratch: Vec<Completion>, // state: scratch
+    comp_scratch: Vec<Completion>,
     /// Scratch for link deliveries drained each tick.
-    deliv_scratch: Vec<Delivery>, // state: scratch
+    deliv_scratch: Vec<Delivery>,
     /// Shadow protocol sanitizer (`None` unless armed): every hook below
     /// is a single `Option` check when off, so sanitized and unsanitized
     /// runs retire identical work.
-    san: Option<Box<Sanitizer>>, // state: shared (observer; never feeds protocol)
+    san: Option<Box<Sanitizer>>,
     /// Armed fault schedule (`None` for fault-free runs: one `Option`
     /// check per tick keeps the fault-free hot path untouched).
-    faults: Option<Box<FaultState>>, // state: shared (global schedule)
+    faults: Option<Box<FaultState>>,
     /// Per-GPU lines dropped by coherence invalidations, tracked only when
     /// the cycle profiler is on (`None` otherwise — one `Option` check on
     /// the invalidate and remote-read paths). Consumed by
     /// [`System::send_remote_read`] to attribute re-fetches; never read by
     /// protocol logic, so profiled runs retire identical work.
-    prof_invalidated: Option<Vec<FastSet>>, // state: gpu-local
+    prof_invalidated: Option<Vec<FastSet>>,
 }
 
 impl System {
@@ -565,7 +565,6 @@ impl System {
         }
     }
 
-    // tick-context: target
     fn apply_invalidate(&mut self, target: usize, line: u64, now: Cycle) {
         if let Some(sets) = self.prof_invalidated.as_mut() {
             sets[target].insert(line);
@@ -582,7 +581,6 @@ impl System {
     }
 
     /// A remote write has (logically) reached its home node.
-    // tick-context: home
     fn write_at_home(&mut self, home: usize, line: u64, writer: usize, now: Cycle) {
         self.cores[home].external_write(line);
         self.dram_write_best_effort(home, line, now);
@@ -812,9 +810,6 @@ impl System {
                 if comp.is_write {
                     continue;
                 }
-                // exchange: GPU g's DRAM retires RDC probes issued on
-                // behalf of remote requesters, so completion routing is
-                // token-directed and crosses GPU contexts by design.
                 match self.pending.remove(comp.token) {
                     Some(Pending::LocalRead { gpu, tag }) => {
                         self.finish_read(gpu, tag, now);
@@ -949,9 +944,6 @@ impl System {
                 }
                 continue;
             };
-            // exchange: a link delivery executes at its destination node
-            // (d.dst), not at any iterating GPU — dispatch is
-            // token-directed and crosses GPU contexts by design.
             match p {
                 Pending::RemoteRead {
                     requester,
@@ -1156,8 +1148,6 @@ impl System {
             let token = self.pending.untracked_token(); // untracked payload
             self.net
                 .send(m.from, NodeId::Gpu(m.to), token, self.cfg.page_size, now);
-            // exchange: page migration shoots down every GPU's TLB — a
-            // deliberate broadcast over all cores, serialized here.
             for core in &mut self.cores {
                 core.shootdown(m.page);
             }
@@ -1436,6 +1426,14 @@ impl EngineMode {
             EngineMode::EventSkip
         }
     }
+
+    /// The name benchmark reports record the engine under.
+    pub fn label(self) -> &'static str {
+        match self {
+            EngineMode::Step => "step",
+            EngineMode::EventSkip => "event-skip",
+        }
+    }
 }
 
 /// Per-GPU cumulative counters captured at the previous sample boundary;
@@ -1691,6 +1689,8 @@ impl Profiler {
             *f = GpuWaitFlags::default();
         }
         let flags = &mut self.flags;
+        // determinism: every arm only ORs `true` into a per-GPU flag, and
+        // boolean OR commutes, so slab order cannot change the result.
         sys.pending.for_each(|_, p| match *p {
             Pending::LocalRead { gpu, .. } => flags[gpu].local = true,
             Pending::RdcProbe { gpu, .. } => flags[gpu].rdc = true,
@@ -1934,6 +1934,7 @@ pub fn try_run_observed(
     // environment on every call.
     let trace_tail = std::env::var_os("CARVE_TRACE_TAIL").is_some();
     let trace_progress = std::env::var_os("CARVE_TRACE_PROGRESS").is_some();
+    let trace_kernels = std::env::var_os("CARVE_TRACE_KERNELS").is_some();
     for kernel in 0..spec.shape.kernels {
         if kernel > 0 {
             sys.kernel_boundary(Cycle(now));
@@ -2103,7 +2104,7 @@ pub fn try_run_observed(
                 // Clamp so an event-skip hop past the cap reports the same
                 // cycle count the stepping engine would.
                 now = sim.max_cycles;
-                if std::env::var_os("CARVE_TRACE_PROGRESS").is_some() {
+                if trace_progress {
                     eprintln!(
                         "    cycle cap hit at {now}; occupancy:\n{}",
                         sys.stall_diagnostic(Cycle(now))
@@ -2133,7 +2134,7 @@ pub fn try_run_observed(
                 sink.record(TraceEvent::end(name, g as u32, now));
             }
         }
-        if std::env::var_os("CARVE_TRACE_KERNELS").is_some() {
+        if trace_kernels {
             eprintln!(
                 "    kernel {kernel}: {} cycles (drain tail {})",
                 now - kstart,

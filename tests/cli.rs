@@ -277,105 +277,3 @@ fn run_with_profile_prints_top_stalls_without_changing_the_report() {
         "profiled summary lacks the stall breakdown:\n{prof_err}"
     );
 }
-
-fn workspace_root() -> &'static std::path::Path {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")) // crates/system
-        .ancestors()
-        .nth(2)
-        .expect("workspace root above crates/system")
-}
-
-#[test]
-fn audit_subcommand_scans_this_workspace_clean() {
-    let root = workspace_root();
-    let out = carve_sim(&["audit", root.to_str().expect("utf-8 path")])
-        .output()
-        .expect("spawn carve-sim");
-    assert!(
-        out.status.success(),
-        "audit found violations:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("clean"), "unexpected audit output: {text}");
-}
-
-#[test]
-fn audit_lint_json_emits_machine_readable_findings() {
-    // `audit lint --json` shares carve-audit's entry point; a clean tree
-    // must still produce the document shape wrappers parse.
-    let root = workspace_root();
-    let out = carve_sim(&[
-        "audit",
-        "lint",
-        "--json",
-        root.to_str().expect("utf-8 path"),
-    ])
-    .output()
-    .expect("spawn carve-sim");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("\"findings\": []"),
-        "expected no findings: {text}"
-    );
-    assert!(
-        text.contains("\"files_scanned\": "),
-        "missing scan count: {text}"
-    );
-}
-
-#[test]
-fn audit_usage_errors_exit_2() {
-    // A bare argument is treated as a lint ROOT (historical interface),
-    // so a non-workspace path must fail the usage way, not panic.
-    for args in [
-        &["audit", "/definitely/not/a/workspace"][..],
-        &["audit", "lint", "--bogus"][..],
-        &["audit", "effects", "--out"][..],
-    ] {
-        let out = carve_sim(args).output().expect("spawn carve-sim");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "args {args:?}: stderr {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-}
-
-#[test]
-fn audit_effects_regenerates_the_committed_snapshot() {
-    let root = workspace_root();
-    let dest = std::env::temp_dir().join(format!("cli-effects-{}.tsv", std::process::id()));
-    let out = carve_sim(&[
-        "audit",
-        "effects",
-        "--out",
-        dest.to_str().expect("utf-8 path"),
-        root.to_str().expect("utf-8 path"),
-    ])
-    .output()
-    .expect("spawn carve-sim");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let fresh = std::fs::read_to_string(&dest).expect("effects output");
-    let _ = std::fs::remove_file(&dest);
-    assert!(fresh.starts_with("file\tfunction\tfield\taccess\tclass\tnote"));
-    let committed = std::fs::read_to_string(root.join("results/effects.tsv"))
-        .expect("committed results/effects.tsv");
-    assert_eq!(
-        committed, fresh,
-        "results/effects.tsv is stale; regenerate with `carve-sim audit effects`"
-    );
-}
