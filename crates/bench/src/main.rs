@@ -21,9 +21,11 @@
 //! binary's via `--merge`) to produce the final report with
 //! `speedup_vs_baseline`.
 //!
-//! `check` validates a `BENCH_hotpath.json` schema and, given a committed
-//! baseline, fails when grid throughput regressed more than
-//! `--max-regress` (default 0.25) — the CI `perf-smoke` gate.
+//! `check` validates a `BENCH_hotpath.json` schema (the CI `perf-smoke`
+//! gate) and, given a baseline, fails when grid throughput regressed more
+//! than `--max-regress` (default 0.25). It refuses, with exit 2, a
+//! baseline that differs in `quick`, `threads` or `engine`: throughput
+//! from a different grid, worker count or engine is not comparable.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -457,6 +459,28 @@ fn json_num(text: &str, key: &str) -> Option<f64> {
 // ---------------------------------------------------------------------
 // `check`: CI schema + regression gate.
 
+/// The fields that fix what a hotpath file's throughput measures: the
+/// grid size, the worker count and the engine.
+const SHAPE_FIELDS: [&str; 3] = ["quick", "threads", "engine"];
+
+/// The raw JSON value of top-level `field` (`"engine": "step"` →
+/// `"step"` with its quotes), up to the next comma or line end.
+fn json_field<'a>(text: &'a str, field: &str) -> Option<&'a str> {
+    let key = format!("\"{field}\":");
+    let at = text.find(&key)? + key.len();
+    let rest = &text[at..];
+    let end = rest.find([',', '\n']).unwrap_or(rest.len());
+    Some(rest[..end].trim())
+}
+
+/// The first [`SHAPE_FIELDS`] entry on which two hotpath files disagree
+/// (a field missing from one side counts as a disagreement).
+fn shape_mismatch(a: &str, b: &str) -> Option<&'static str> {
+    SHAPE_FIELDS
+        .into_iter()
+        .find(|f| json_field(a, f).is_none() || json_field(a, f) != json_field(b, f))
+}
+
 fn check(args: &[String]) -> i32 {
     let mut target: Option<String> = None;
     let mut baseline: Option<String> = None;
@@ -521,6 +545,13 @@ fn check(args: &[String]) -> i32 {
                 return 1;
             }
         };
+        if let Some(field) = shape_mismatch(&text, &basetext) {
+            eprintln!(
+                "carve-bench: {target} and {basefile} differ in \"{field}\"; \
+                 throughput is only comparable between runs of the same shape"
+            );
+            return 2;
+        }
         let Some(want) = json_num(&basetext, "\"grid_mcyc_per_s\":") else {
             eprintln!("carve-bench: {basefile}: grid_mcyc_per_s is not a number");
             return 1;
@@ -541,4 +572,64 @@ fn check(args: &[String]) -> i32 {
         );
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn hotpath(quick: bool, threads: usize, engine: &str) -> String {
+        format!(
+            "{{\n  \"schema\": \"carve-bench-hotpath-v1\",\n  \"engine\": \"{engine}\",\n  \
+             \"threads\": {threads},\n  \"quick\": {quick},\n  \"grid_mcyc_per_s\": 1.0,\n}}\n"
+        )
+    }
+
+    #[test]
+    fn same_shape_files_compare() {
+        let a = hotpath(false, 1, "event-skip");
+        assert_eq!(shape_mismatch(&a, &a), None);
+    }
+
+    #[test]
+    fn each_shape_field_mismatch_is_named() {
+        let base = hotpath(false, 1, "event-skip");
+        assert_eq!(
+            shape_mismatch(&hotpath(true, 1, "event-skip"), &base),
+            Some("quick")
+        );
+        assert_eq!(
+            shape_mismatch(&hotpath(false, 2, "event-skip"), &base),
+            Some("threads")
+        );
+        assert_eq!(
+            shape_mismatch(&hotpath(false, 1, "step"), &base),
+            Some("engine")
+        );
+        assert_eq!(
+            shape_mismatch("{}", "{}"),
+            Some("quick"),
+            "missing fields never match"
+        );
+    }
+
+    #[test]
+    fn check_refuses_a_mismatched_baseline_with_exit_2() {
+        let dir = std::env::temp_dir().join(format!("carve-bench-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let full = "  \"grid_points\": 100,\n  \"components_mops_per_s\": {},\n  \
+                    \"speedup_vs_baseline\": null\n";
+        let write = |name: &str, quick: bool| {
+            let path = dir.join(name);
+            let text = hotpath(quick, 1, "event-skip").replace("}\n", &format!("{full}}}\n"));
+            std::fs::write(&path, text).unwrap();
+            path.to_string_lossy().into_owned()
+        };
+        let quick = write("quick.json", true);
+        let full_grid = write("full.json", false);
+        let args = |a: &str, b: &str| vec![a.to_string(), "--baseline".into(), b.to_string()];
+        assert_eq!(check(&args(&quick, &quick)), 0);
+        assert_eq!(check(&args(&quick, &full_grid)), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -44,6 +44,10 @@ pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     line_size: u64,
+    /// `log2(line_size)` and `log2(sets)`: [`SetAssocCache::index`]
+    /// shifts and masks instead of dividing.
+    line_shift: u32,
+    set_shift: u32,
     lines: Vec<Line>,
     tick: u64,
     hits: u64,
@@ -57,10 +61,10 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero sizes, capacity not
-    /// divisible into at least one set, or a non-power-of-two set count —
-    /// required for mask indexing).
+    /// divisible into at least one set, or a non-power-of-two line size or
+    /// set count — required for shift-and-mask indexing).
     pub fn new(capacity_bytes: u64, ways: usize, line_size: u64) -> SetAssocCache {
-        assert!(capacity_bytes > 0 && ways > 0 && line_size > 0);
+        assert!(capacity_bytes > 0 && ways > 0 && line_size.is_power_of_two());
         let total_lines = (capacity_bytes / line_size) as usize;
         assert!(
             total_lines >= ways,
@@ -75,6 +79,8 @@ impl SetAssocCache {
             sets,
             ways,
             line_size,
+            line_shift: line_size.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             lines: vec![Line::default(); sets * ways],
             tick: 0,
             hits: 0,
@@ -84,9 +90,9 @@ impl SetAssocCache {
 
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
-        let line_addr = addr / self.line_size;
+        let line_addr = addr >> self.line_shift;
         let set = (line_addr as usize) & (self.sets - 1);
-        let tag = line_addr / self.sets as u64;
+        let tag = line_addr >> self.set_shift;
         (set, tag)
     }
 

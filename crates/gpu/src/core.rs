@@ -155,8 +155,21 @@ pub struct GpuCore {
     outbox_cap: usize,
     external_done: Vec<(u64, Cycle)>,
     l2_tlb: Tlb,
-    line_size: u64,
+    /// `log2(line_size)`: line address → bank select without a division.
+    line_shift: u32,
     store_watch: Option<Arc<FastSet>>,
+    // EQUIVALENCE: `sm_wake[s]` is SM `s`'s `Sm::horizon`, re-read after
+    // every call that can move it: `step` and `fail_l2` in `tick`,
+    // `enqueue_cta` in `launch_kernel`, and `wake_warp` on every fill.
+    // Nothing else changes a warp's phase or the CTA queue, so an SM
+    // whose entry lies in the future would step as a no-op; `tick` skips
+    // it and `next_event` folds the entries instead of asking each SM.
+    /// Per-SM [`Sm::horizon`]: the cycle each SM may next act on its own
+    /// (0 = now, `u64::MAX` = only a fill can wake it). [`GpuCore::tick`]
+    /// steps just the SMs whose entry is due.
+    sm_wake: Vec<u64>,
+    /// SMs with resident or queued work, so [`GpuCore::sms_done`] is O(1).
+    busy_sms: usize,
 }
 
 impl GpuCore {
@@ -164,9 +177,11 @@ impl GpuCore {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero SMs or banks).
+    /// Panics on degenerate configurations (zero SMs, a bank count or
+    /// line size that is not a power of two).
     pub fn new(cfg: &ScaledConfig, spec: &WorkloadSpec, gpu_id: usize) -> GpuCore {
-        assert!(cfg.sms_per_gpu > 0 && cfg.l2_banks > 0);
+        assert!(cfg.sms_per_gpu > 0 && cfg.l2_banks.is_power_of_two());
+        assert!(cfg.line_size.is_power_of_two());
         let mut params = SmParams::from_config(cfg);
         params.warps_per_cta = spec.shape.warps_per_cta;
         assert!(
@@ -196,9 +211,22 @@ impl GpuCore {
             outbox_cap: 64,
             external_done: Vec::new(),
             l2_tlb: Tlb::new(cfg.l2_tlb_entries),
-            line_size: cfg.line_size,
+            line_shift: cfg.line_size.trailing_zeros(),
             store_watch: None,
+            sm_wake: vec![u64::MAX; cfg.sms_per_gpu],
+            busy_sms: 0,
         }
+    }
+
+    /// The L2 bank owning `line_addr` (lines interleave across banks).
+    fn bank_of(&self, line_addr: u64) -> usize {
+        ((line_addr >> self.line_shift) as usize) & (self.banks.len() - 1)
+    }
+
+    /// Wakes warp `warp` of SM `sm` at `at` and pulls that SM's wake in.
+    fn wake_warp(&mut self, sm: usize, warp: usize, at: Cycle) {
+        self.sms[sm].wake_warp(warp, at);
+        self.sm_wake[sm] = self.sm_wake[sm].min(at.0);
     }
 
     /// Installs the coherence watch list: line addresses whose *local*
@@ -218,17 +246,44 @@ impl GpuCore {
     pub fn launch_kernel(&mut self, kernel: usize, range: std::ops::Range<usize>) {
         let n = self.sms.len();
         for (i, cta) in range.enumerate() {
-            self.sms[i % n].enqueue_cta(kernel, cta);
+            let s = i % n;
+            if self.sms[s].is_idle() {
+                self.busy_sms += 1;
+            }
+            self.sms[s].enqueue_cta(kernel, cta);
+            self.sm_wake[s] = self.sms[s].horizon();
         }
     }
 
     /// Advances the core one cycle: L2 banks service their queues, then
-    /// each SM may issue one instruction.
+    /// each SM whose wake is due may issue one instruction. Skipping the
+    /// other SMs is exact: stepping an SM before its horizon does
+    /// nothing observable.
     pub fn tick<T: Translator, F: Fabric>(&mut self, now: Cycle, xl: &mut T, fabric: &F) {
+        self.tick_sms(now, xl, fabric, false);
+    }
+
+    /// [`GpuCore::tick`] that steps every SM, due or not: the stepping
+    /// engine's oracle, which consults no wake cycle.
+    pub fn tick_all<T: Translator, F: Fabric>(&mut self, now: Cycle, xl: &mut T, fabric: &F) {
+        self.tick_sms(now, xl, fabric, true);
+    }
+
+    fn tick_sms<T: Translator, F: Fabric>(
+        &mut self,
+        now: Cycle,
+        xl: &mut T,
+        fabric: &F,
+        all: bool,
+    ) {
         for b in 0..self.banks.len() {
             self.process_bank(b, now, fabric);
         }
         for s in 0..self.sms.len() {
+            if !all && self.sm_wake[s] > now.0 {
+                continue;
+            }
+            let was_idle = self.sms[s].is_idle();
             let req = self.sms[s].step(
                 now,
                 self.gpu_id,
@@ -238,11 +293,15 @@ impl GpuCore {
                 &mut self.l2_tlb,
             );
             if let Some(req) = req {
-                let bank = ((req.line_addr / self.line_size) % self.banks.len() as u64) as usize;
+                let bank = self.bank_of(req.line_addr);
                 if let Err(rejected) = self.banks[bank].queue.try_push(req) {
                     self.sms[s].fail_l2(rejected);
                 }
             }
+            if !was_idle && self.sms[s].is_idle() {
+                self.busy_sms -= 1;
+            }
+            self.sm_wake[s] = self.sms[s].horizon();
         }
     }
 
@@ -317,7 +376,7 @@ impl GpuCore {
             match waiter {
                 Waiter::Warp { sm, warp } => {
                     self.sms[sm].fill_l1(req.line_addr, !local);
-                    self.sms[sm].wake_warp(warp, at);
+                    self.wake_warp(sm, warp, at);
                 }
                 Waiter::External { token } => self.external_done.push((token, at)),
             }
@@ -424,7 +483,7 @@ impl GpuCore {
             match waiter {
                 Waiter::Warp { sm, warp } => {
                     self.sms[sm].fill_l1(line, remote);
-                    self.sms[sm].wake_warp(warp, Cycle(now.0 + 10));
+                    self.wake_warp(sm, warp, Cycle(now.0 + 10));
                 }
                 Waiter::External { token } => {
                     self.external_done.push((token, Cycle(now.0 + 2)));
@@ -436,7 +495,7 @@ impl GpuCore {
     /// Enqueues a read arriving from a remote GPU into an L2 bank. Returns
     /// `Err(token)` when the bank queue is full (retry next cycle).
     pub fn external_read(&mut self, token: u64, line_addr: u64) -> Result<(), u64> {
-        let bank = ((line_addr / self.line_size) % self.banks.len() as u64) as usize;
+        let bank = self.bank_of(line_addr);
         self.banks[bank]
             .queue
             .try_push(L2Req {
@@ -527,7 +586,7 @@ impl GpuCore {
     /// True when every SM is drained, no fills are outstanding and the
     /// outbox is empty.
     pub fn is_idle(&self) -> bool {
-        self.sms.iter().all(Sm::is_idle)
+        self.busy_sms == 0
             && self.mshr.is_empty()
             && self.banks.iter().all(|b| b.queue.is_empty())
             && self.outbox.is_empty()
@@ -536,7 +595,7 @@ impl GpuCore {
 
     /// True when SMs have no work but fills may still be in flight.
     pub fn sms_done(&self) -> bool {
-        self.sms.iter().all(Sm::is_idle)
+        self.busy_sms == 0
     }
 
     /// Aggregated statistics.
@@ -651,12 +710,9 @@ impl NextEvent for GpuCore {
                 horizon = earliest(horizon, Some(Cycle(at)));
             }
         }
-        for sm in &self.sms {
-            horizon = earliest(horizon, sm.next_event(now));
-            // The floor is the lowest possible horizon; stop scanning.
-            if horizon == Some(Cycle(floor)) {
-                return horizon;
-            }
+        let sm_min = self.sm_wake.iter().copied().min().unwrap_or(u64::MAX);
+        if sm_min != u64::MAX {
+            horizon = earliest(horizon, Some(Cycle(sm_min.max(floor))));
         }
         horizon
     }

@@ -78,14 +78,6 @@ pub struct L2Req {
     pub source: ReqSource,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Vacant,
-    Ready,
-    Blocked(u64),
-    WaitingMem,
-}
-
 #[derive(Debug, Clone, Copy)]
 enum ReplayStage {
     /// Translation done; L1 not yet probed (TLB/migration delay elapsed).
@@ -102,10 +94,10 @@ struct Replay {
     stage: ReplayStage,
 }
 
+/// The cold per-slot payload. A slot's phase lives in the [`Sm`] bitmasks.
 #[derive(Debug)]
 struct Slot {
     gen: Option<WarpGen>,
-    phase: Phase,
     replay: Option<Replay>,
 }
 
@@ -122,18 +114,15 @@ pub struct SmStats {
     pub replays: u64,
 }
 
-/// Cached result of the event-minimum scan (see [`Sm::event_min`]).
-#[derive(Debug, Clone, Copy)]
-enum EventCache {
-    /// Slots or the CTA queue changed since the last scan.
-    Dirty,
-    /// `min` over every slot's contribution: `Ready` and a fillable CTA
-    /// queue contribute 0, `Blocked(t)` contributes `t`; `None` when no
-    /// slot can ever act without outside input.
-    Clean(Option<u64>),
-}
+/// Most warp slots one SM may hold: the width of the phase bitmasks.
+pub const MAX_WARPS_PER_SM: usize = 64;
 
 /// One Streaming Multiprocessor.
+///
+/// Each warp slot is in exactly one phase, kept as one bit in one of
+/// three masks: `ready` (may issue now), `blocked` (may issue at
+/// `wake_at[slot]`) or `waiting` (parked on a memory fill; only
+/// [`Sm::wake_warp`] moves it on). A slot in none of them is vacant.
 #[derive(Debug)]
 pub struct Sm {
     id: usize,
@@ -141,32 +130,38 @@ pub struct Sm {
     l1: SetAssocCache,
     tlb: Tlb,
     slots: Vec<Slot>,
+    ready: u64,
+    blocked: u64,
+    waiting: u64,
+    /// Cycle at which each `blocked` slot may issue again.
+    wake_at: Vec<u64>,
+    /// Every slot bit (`warps` low bits set).
+    all: u64,
     pending: VecDeque<(usize, usize)>,
     rr: usize,
     stats: SmStats,
-    // EQUIVALENCE: `event_cache` memoizes the slot scan for the horizon
-    // query only; it never feeds `step`. Every mutation that can change
-    // when a slot next acts (enqueue, fill, issue, completion, fail_l2,
-    // invalidate) marks it `Dirty` in the same call, so a cached horizon
-    // always equals the fresh scan a stepping engine would do, and
-    // retirement order — hence every stat and journal byte — is identical
-    // under both engines (golden tests pin this).
-    /// Interior-mutable so [`Sm::next_event`] (`&self`, called every tick
-    /// by the event-horizon engine) can reuse one scan across the many
-    /// ticks where this SM's state does not change.
-    event_cache: std::cell::Cell<EventCache>,
-    /// Non-vacant slot count, so the per-tick [`Sm::is_idle`] checks cost
-    /// O(1) instead of a slot scan.
-    occupied: usize,
+    page_shift: u32,
+    line_mask: u64,
 }
 
 impl Sm {
     /// Creates SM `id` with the given parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warps` is 0 or above [`MAX_WARPS_PER_SM`], or if the page
+    /// or line size is not a power of two (`SimConfig::validate` rejects
+    /// such machines first).
     pub fn new(id: usize, params: SmParams) -> Sm {
+        assert!(
+            (1..=MAX_WARPS_PER_SM).contains(&params.warps),
+            "an SM holds 1..={MAX_WARPS_PER_SM} warps, got {}",
+            params.warps
+        );
+        assert!(params.page_size.is_power_of_two() && params.line_size.is_power_of_two());
         let slots = (0..params.warps)
             .map(|_| Slot {
                 gen: None,
-                phase: Phase::Vacant,
                 replay: None,
             })
             .collect();
@@ -175,68 +170,100 @@ impl Sm {
             l1: SetAssocCache::new(params.l1_bytes, params.l1_ways, params.line_size),
             tlb: Tlb::new(params.l1_tlb_entries),
             slots,
+            ready: 0,
+            blocked: 0,
+            waiting: 0,
+            wake_at: vec![0; params.warps],
+            all: u64::MAX >> (MAX_WARPS_PER_SM - params.warps),
             pending: VecDeque::new(),
             rr: 0,
+            page_shift: params.page_size.trailing_zeros(),
+            line_mask: !(params.line_size - 1),
             params,
             stats: SmStats::default(),
-            event_cache: std::cell::Cell::new(EventCache::Dirty),
-            occupied: 0,
         }
     }
 
     /// Queues a CTA of the given kernel for execution on this SM.
     pub fn enqueue_cta(&mut self, kernel: usize, cta: usize) {
         self.pending.push_back((kernel, cta));
-        self.event_cache.set(EventCache::Dirty);
     }
 
-    /// The cached event minimum: the earliest absolute cycle at which this
-    /// SM can act on its own, with "immediately" represented as 0 (the
-    /// caller clamps to `now + 1`). Recomputed only after a mutation.
-    fn event_min(&self) -> Option<u64> {
-        if let EventCache::Clean(m) = self.event_cache.get() {
-            return m;
+    fn vacant(&self) -> u64 {
+        self.all & !(self.ready | self.blocked | self.waiting)
+    }
+
+    fn set_ready(&mut self, idx: usize) {
+        let bit = 1u64 << idx;
+        self.blocked &= !bit;
+        self.waiting &= !bit;
+        self.ready |= bit;
+    }
+
+    fn set_blocked(&mut self, idx: usize, until: u64) {
+        let bit = 1u64 << idx;
+        self.ready &= !bit;
+        self.waiting &= !bit;
+        self.blocked |= bit;
+        self.wake_at[idx] = until;
+    }
+
+    fn set_waiting(&mut self, idx: usize) {
+        let bit = 1u64 << idx;
+        self.ready &= !bit;
+        self.blocked &= !bit;
+        self.waiting |= bit;
+    }
+
+    fn set_vacant(&mut self, idx: usize) {
+        let bit = !(1u64 << idx);
+        self.ready &= bit;
+        self.blocked &= bit;
+        self.waiting &= bit;
+    }
+
+    /// Whether a queued CTA fits in the vacant slots right now.
+    fn can_fill(&self) -> bool {
+        !self.pending.is_empty() && self.vacant().count_ones() as usize >= self.params.warps_per_cta
+    }
+
+    // EQUIVALENCE: `step` changes state only through a fillable CTA, a
+    // ready warp, or a blocked warp whose `wake_at` has passed (expired
+    // blocks join `ready` there). `horizon` is the minimum over exactly
+    // those three, so stepping before it is a pure no-op, and callers
+    // that skip such cycles retire the same warps in the same order as
+    // one that steps every cycle. The only outside inputs that move a
+    // slot's phase are `wake_warp` and `fail_l2`, and a caller caching
+    // the horizon re-reads it after each (see `GpuCore::wake_warp`).
+    /// The earliest cycle at which this SM can act on its own, with
+    /// "immediately" represented as 0 (callers clamp to `now + 1`), or
+    /// `u64::MAX` when only a memory fill can wake it.
+    pub(crate) fn horizon(&self) -> u64 {
+        if self.ready != 0 || self.can_fill() {
+            return 0;
         }
-        let mut min: Option<u64> = None;
-        for slot in &self.slots {
-            match slot.phase {
-                Phase::Ready => {
-                    self.event_cache.set(EventCache::Clean(Some(0)));
-                    return Some(0);
-                }
-                Phase::Blocked(t) => min = Some(min.map_or(t, |m: u64| m.min(t))),
-                Phase::Vacant | Phase::WaitingMem => {}
-            }
+        let mut min = u64::MAX;
+        let mut b = self.blocked;
+        while b != 0 {
+            min = min.min(self.wake_at[b.trailing_zeros() as usize]);
+            b &= b - 1;
         }
-        if !self.pending.is_empty() && self.slots.len() - self.occupied >= self.params.warps_per_cta
-        {
-            min = Some(0);
-        }
-        self.event_cache.set(EventCache::Clean(min));
         min
     }
 
     fn try_fill_slots(&mut self, spec: &WorkloadSpec, cfg: &ScaledConfig) {
-        loop {
-            let vacant = self.slots.len() - self.occupied;
-            if vacant < self.params.warps_per_cta || self.pending.is_empty() {
-                return;
-            }
-            // audit:allow(tick-path-panics) guarded by the is_empty check two lines up
+        while self.can_fill() {
+            // audit:allow(tick-path-panics) can_fill checked the queue is non-empty
             let (kernel, cta) = self.pending.pop_front().expect("checked non-empty");
-            let mut warp = 0;
-            for slot in &mut self.slots {
-                if warp == self.params.warps_per_cta {
-                    break;
-                }
-                if slot.phase == Phase::Vacant {
-                    slot.gen = Some(spec.warp_gen(cfg, kernel, cta, warp));
-                    slot.phase = Phase::Ready;
-                    slot.replay = None;
-                    warp += 1;
-                }
+            // Whole CTAs take the lowest vacant slots, in slot order.
+            let mut free = self.vacant();
+            for warp in 0..self.params.warps_per_cta {
+                let idx = free.trailing_zeros() as usize;
+                free &= free - 1;
+                self.slots[idx].gen = Some(spec.warp_gen(cfg, kernel, cta, warp));
+                self.slots[idx].replay = None;
+                self.set_ready(idx);
             }
-            self.occupied += warp;
         }
     }
 
@@ -244,6 +271,9 @@ impl Sm {
     ///
     /// The caller must deliver the returned request to an L2 bank queue; if
     /// the queue rejects it, call [`Sm::fail_l2`] to restore the warp.
+    /// Stepping an SM before the earliest cycle it could act on its own
+    /// (a ready warp, a fillable CTA, or an expired block) does
+    /// nothing observable, so callers may skip such cycles.
     pub fn step<T: Translator>(
         &mut self,
         now: Cycle,
@@ -253,40 +283,35 @@ impl Sm {
         xl: &mut T,
         l2_tlb: &mut Tlb,
     ) -> Option<L2Req> {
-        // Fast path: nothing can act at `now` — no ready warp, no
-        // expired block, no fillable CTA. The full body below would be a
-        // pure no-op (it only reads state), so skipping it is
-        // bit-identical; most SMs sit here on any given tick.
-        match self.event_min() {
-            Some(m) if m <= now.0 => {}
-            _ => return None,
-        }
-        self.event_cache.set(EventCache::Dirty);
         self.try_fill_slots(spec, cfg);
-        // Round-robin pick of a ready warp, waking lazily: a warp whose
-        // block has expired is indistinguishable from `Ready` to every
-        // observer (the event horizon clamps expired times to the floor),
-        // so only the picked warp's phase is rewritten — one slot pass
-        // instead of a wake pass plus a pick pass.
-        let n = self.slots.len();
-        let mut pick = None;
-        for k in 0..n {
-            let idx = (self.rr + k) % n;
-            match self.slots[idx].phase {
-                Phase::Ready => {
-                    pick = Some(idx);
-                    break;
-                }
-                Phase::Blocked(t) if t <= now.0 => {
-                    self.slots[idx].phase = Phase::Ready;
-                    pick = Some(idx);
-                    break;
-                }
-                _ => {}
+        // Lazy wake: a warp whose block has expired is indistinguishable
+        // from `Ready` to every observer (horizons clamp expired times to
+        // the floor), so expired warps join the ready set here, where the
+        // pick needs them.
+        let mut b = self.blocked;
+        while b != 0 {
+            let idx = b.trailing_zeros() as usize;
+            b &= b - 1;
+            if self.wake_at[idx] <= now.0 {
+                self.set_ready(idx);
             }
         }
-        let idx = pick?;
-        self.rr = (idx + 1) % n;
+        if self.ready == 0 {
+            return None;
+        }
+        // Round-robin: the first ready slot at or after `rr`, else the
+        // first ready slot overall.
+        let from_rr = self.ready & (u64::MAX << self.rr);
+        let idx = if from_rr != 0 {
+            from_rr.trailing_zeros()
+        } else {
+            self.ready.trailing_zeros()
+        } as usize;
+        self.rr = if idx + 1 == self.params.warps {
+            0
+        } else {
+            idx + 1
+        };
 
         // Replayed op first.
         if let Some(replay) = self.slots[idx].replay.take() {
@@ -298,7 +323,6 @@ impl Sm {
                     // Re-emit the previously rejected L2 request.
                     let line = replay.va; // already line-aligned
                     if replay.is_store {
-                        self.slots[idx].phase = Phase::Ready;
                         Some(L2Req {
                             line_addr: line,
                             is_store: true,
@@ -309,7 +333,7 @@ impl Sm {
                             },
                         })
                     } else {
-                        self.slots[idx].phase = Phase::WaitingMem;
+                        self.set_waiting(idx);
                         Some(L2Req {
                             line_addr: line,
                             is_store: false,
@@ -336,20 +360,19 @@ impl Sm {
         match op {
             None => {
                 self.slots[idx].gen = None;
-                self.slots[idx].phase = Phase::Vacant;
-                self.occupied -= 1;
+                self.set_vacant(idx);
                 None
             }
             Some(Op::Compute(k)) => {
                 self.stats.instructions += k as u64;
                 // 1 IPC issue: the warp occupies its slot for k cycles.
-                self.slots[idx].phase = Phase::Blocked(now.0 + k as u64);
+                self.set_blocked(idx, now.0 + k as u64);
                 None
             }
             Some(Op::Load(va)) | Some(Op::Store(va)) => {
                 let is_store = matches!(op, Some(Op::Store(_)));
                 self.stats.instructions += 1;
-                let page = va / self.params.page_size;
+                let page = va >> self.page_shift;
                 let penalty = if self.tlb.lookup(page) {
                     0
                 } else if l2_tlb.lookup(page) {
@@ -362,9 +385,9 @@ impl Sm {
                 if let Some(b) = out.blocked_until {
                     ready_at = ready_at.max(b.0);
                 }
-                let line = va - (va % self.params.line_size);
+                let line = va & self.line_mask;
                 if ready_at > now.0 {
-                    self.slots[idx].phase = Phase::Blocked(ready_at);
+                    self.set_blocked(idx, ready_at);
                     self.slots[idx].replay = Some(Replay {
                         va: line,
                         is_store,
@@ -390,7 +413,7 @@ impl Sm {
         if is_store {
             // Write-through, no-allocate, posted: the warp keeps running.
             self.stats.stores += 1;
-            self.slots[idx].phase = Phase::Ready;
+            self.set_ready(idx);
             return Some(L2Req {
                 line_addr: line,
                 is_store: true,
@@ -403,10 +426,10 @@ impl Sm {
         }
         self.stats.loads += 1;
         if hit {
-            self.slots[idx].phase = Phase::Blocked(now.0 + self.params.l1_hit_latency);
+            self.set_blocked(idx, now.0 + self.params.l1_hit_latency);
             None
         } else {
-            self.slots[idx].phase = Phase::WaitingMem;
+            self.set_waiting(idx);
             Some(L2Req {
                 line_addr: line,
                 is_store: false,
@@ -440,15 +463,16 @@ impl Sm {
             home: req.home,
             stage: ReplayStage::PostL1,
         });
-        self.slots[warp].phase = Phase::Ready;
-        self.event_cache.set(EventCache::Dirty);
+        self.set_ready(warp);
     }
 
     /// Wakes a memory-blocked warp at `at` (its data has been filled).
     pub fn wake_warp(&mut self, warp: usize, at: Cycle) {
-        debug_assert_eq!(self.slots[warp].phase, Phase::WaitingMem);
-        self.slots[warp].phase = Phase::Blocked(at.0);
-        self.event_cache.set(EventCache::Dirty);
+        debug_assert!(
+            self.waiting & (1 << warp) != 0,
+            "warp {warp} is not waiting"
+        );
+        self.set_blocked(warp, at.0);
     }
 
     /// Installs a line in the L1 (L2/memory fill on the return path).
@@ -474,15 +498,12 @@ impl Sm {
 
     /// Occupied (non-vacant) warp slots.
     pub fn active_warps(&self) -> usize {
-        self.occupied
+        (self.ready | self.blocked | self.waiting).count_ones() as usize
     }
 
     /// Warps parked waiting for a memory response.
     pub fn warps_waiting_mem(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.phase == Phase::WaitingMem)
-            .count()
+        self.waiting.count_ones() as usize
     }
 
     /// CTAs queued but not yet resident.
@@ -493,16 +514,7 @@ impl Sm {
     /// No resident or pending work. Warps waiting on memory keep the SM
     /// non-idle until their fills arrive.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.occupied == 0
-    }
-
-    /// Earliest future cycle this SM could issue or change state on its
-    /// own (see [`sim_core::NextEvent`]). `None` when every warp is vacant
-    /// or waiting on a memory fill — only outside input can wake it then.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // `min(t_i.max(floor)) == min(t_i).max(floor)`, so the cached
-        // minimum reproduces the slot scan exactly for any `now`.
-        self.event_min().map(|m| Cycle(m.max(now.0 + 1)))
+        self.pending.is_empty() && (self.ready | self.blocked | self.waiting) == 0
     }
 
     /// Activity counters.

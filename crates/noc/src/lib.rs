@@ -42,7 +42,10 @@
 
 #![warn(missing_docs)]
 
-use sim_core::event::{earliest, NextEvent};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use sim_core::event::NextEvent;
 use sim_core::fast::Slab;
 use sim_core::{Cycle, LinkOccupancy, SimError, TopologySpec};
 
@@ -141,7 +144,9 @@ impl Link {
     /// (MSHRs, warp slots) bound the traffic in flight. Because
     /// serialization of a non-empty message is strictly positive, the
     /// arrival cycle is always strictly after `now`: forwarded hops never
-    /// cascade within one tick and event horizons stay exact.
+    /// cascade within one tick and event horizons stay exact. Each
+    /// message starts serializing no earlier than the previous one
+    /// finished, so a link's arrivals never decrease.
     pub fn send(&mut self, token: u64, bytes: u64, now: Cycle) {
         let start = (now.0 as f64).max(self.next_slot);
         let ser = bytes as f64 / self.bytes_per_cycle;
@@ -154,6 +159,7 @@ impl Link {
         let arrival = (start + ser + self.latency as f64).ceil() as u64;
         self.bytes_sent += bytes;
         self.messages_sent += 1;
+        debug_assert!(self.in_flight.is_empty() || arrival >= self.min_arrival);
         self.in_flight.push((token, arrival));
         self.min_arrival = self.min_arrival.min(arrival);
     }
@@ -831,7 +837,19 @@ pub struct LinkNetwork {
     transit: Vec<(u64, u64)>,
     injected: u64,
     delivered: u64,
-    // Reused per-link drain buffer for `tick_into`.
+    // EQUIVALENCE: `arrivals` holds exactly one `(min_arrival, edge)`
+    // entry per link with messages on its wire. A send onto an idle link
+    // pushes one; a send onto a busy link needs none, since a link's
+    // arrivals never decrease (`Link::send`). `tick_into` pops every
+    // entry due by `now`, drains those links, and pushes back the new
+    // `min_arrival` of each that is still busy. So the edges it visits
+    // are exactly those whose `min_arrival` is due, in ascending edge
+    // order — the visit-every-edge loop minus its no-op iterations — and
+    // the heap's minimum is the network's event horizon.
+    /// Busy links as a min-heap of `(earliest arrival, edge)`.
+    arrivals: BinaryHeap<Reverse<(u64, usize)>>,
+    // Reused buffers for `tick_into`: due edges and one link's drain.
+    due_scratch: Vec<usize>,
     drain_scratch: Vec<u64>,
     // --- fault-injection state (all zero in fault-free runs; the hot
     // path pays one compare per delivery when quiescent) ---
@@ -899,6 +917,8 @@ impl LinkNetwork {
             transit,
             injected: 0,
             delivered: 0,
+            arrivals: BinaryHeap::new(),
+            due_scratch: Vec::new(),
             drain_scratch: Vec::new(),
             dead: vec![false; num_edges],
             degraded: vec![false; num_edges],
@@ -953,18 +973,40 @@ impl LinkNetwork {
     pub fn send(&mut self, src: NodeId, dst: NodeId, token: u64, bytes: u64, now: Cycle) {
         let e = self.first_hop(src, dst);
         self.injected += 1;
-        if self.topo.single_hop {
-            self.links[e].send(token, bytes, now);
+        let wire_token = if self.topo.single_hop {
+            token
         } else {
             let s = self.topo.endpoint_index(src) as u32;
             let d = self.topo.endpoint_index(dst) as u32;
-            let flow = self.flows.insert(Flow {
+            self.flows.insert(Flow {
                 token,
                 src: s,
                 dst: d,
                 bytes,
-            });
-            self.links[e].send(flow, bytes, now);
+            })
+        };
+        self.send_on(e, wire_token, bytes, now);
+    }
+
+    /// Puts `token` on edge `e`'s wire, registering the link in
+    /// `arrivals` if it was idle.
+    fn send_on(&mut self, e: usize, token: u64, bytes: u64, now: Cycle) {
+        let idle = self.links[e].is_idle();
+        self.links[e].send(token, bytes, now);
+        if idle {
+            self.arrivals.push(Reverse((self.links[e].min_arrival, e)));
+        }
+    }
+
+    /// Drains edge `e`'s messages due by `now` into `scratch` (cleared
+    /// first). A due link that stays busy goes back into `arrivals` under
+    /// its new earliest arrival.
+    fn drain_link(&mut self, e: usize, now: Cycle, scratch: &mut Vec<u64>) {
+        scratch.clear();
+        let due = self.links[e].min_arrival <= now.0;
+        self.links[e].tick_into(now, scratch);
+        if due && !self.links[e].is_idle() {
+            self.arrivals.push(Reverse((self.links[e].min_arrival, e)));
         }
     }
 
@@ -975,22 +1017,43 @@ impl LinkNetwork {
         out
     }
 
-    /// Advances all links in edge order, appending every delivery due by
-    /// `now` to `out` (allocation-free variant of [`LinkNetwork::tick`];
-    /// `out` is NOT cleared). Per-link `min_arrival` caches make a link
-    /// with nothing due cost one compare. Transit arrivals at a
+    /// Advances the links with a message due by `now`, in edge order,
+    /// appending every delivery to `out` (allocation-free variant of
+    /// [`LinkNetwork::tick`]; `out` is NOT cleared). Transit arrivals at a
     /// non-destination node are immediately re-sent on the next hop; the
     /// new arrival is strictly in the future, so in-tick iteration order
     /// cannot observe it.
     pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<Delivery>) {
+        self.tick_links(now, out, false);
+    }
+
+    /// [`LinkNetwork::tick_into`] that visits every link, due or not: the
+    /// stepping engine's oracle, which does not consult the arrival heap
+    /// to pick links.
+    pub fn tick_all_into(&mut self, now: Cycle, out: &mut Vec<Delivery>) {
+        self.tick_links(now, out, true);
+    }
+
+    fn tick_links(&mut self, now: Cycle, out: &mut Vec<Delivery>, all: bool) {
+        let mut due = std::mem::take(&mut self.due_scratch);
+        due.clear();
+        while let Some(&Reverse((at, e))) = self.arrivals.peek() {
+            if at > now.0 {
+                break;
+            }
+            self.arrivals.pop();
+            due.push(e);
+        }
+        if all {
+            due.clear();
+            due.extend(0..self.links.len());
+        } else {
+            due.sort_unstable();
+        }
         let mut scratch = std::mem::take(&mut self.drain_scratch);
         if self.topo.single_hop {
-            for i in 0..self.links.len() {
-                if self.links[i].min_arrival > now.0 {
-                    continue;
-                }
-                scratch.clear();
-                self.links[i].tick_into(now, &mut scratch);
+            for &i in &due {
+                self.drain_link(i, now, &mut scratch);
                 let e = self.topo.edges[i];
                 let src = self.node_id_of(e.from);
                 let dst = self.node_id_of(e.to);
@@ -1007,12 +1070,8 @@ impl LinkNetwork {
                 }
             }
         } else {
-            for i in 0..self.links.len() {
-                if self.links[i].min_arrival > now.0 {
-                    continue;
-                }
-                scratch.clear();
-                self.links[i].tick_into(now, &mut scratch);
+            for &i in &due {
+                self.drain_link(i, now, &mut scratch);
                 let at = self.topo.edges[i].to;
                 for &flow_token in &scratch {
                     let Some(&flow) = self.flows.get(flow_token) else {
@@ -1052,13 +1111,14 @@ impl LinkNetwork {
                             self.transit[at].1 += 1;
                             let next = self.topo.next_hop_edge(at, flow.dst as usize);
                             debug_assert!(next != NO_ROUTE, "transit node lost its route");
-                            self.links[next as usize].send(flow_token, flow.bytes, now);
+                            self.send_on(next as usize, flow_token, flow.bytes, now);
                         }
                     }
                 }
             }
         }
         self.drain_scratch = scratch;
+        self.due_scratch = due;
     }
 
     /// Consumes one armed packet drop, if any (fault injection).
@@ -1498,11 +1558,8 @@ impl NetSnapshot {
 
 impl NextEvent for LinkNetwork {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut horizon: Option<Cycle> = None;
-        for link in &self.links {
-            horizon = earliest(horizon, link.next_event(now));
-        }
-        horizon
+        let &Reverse((at, _)) = self.arrivals.peek()?;
+        Some(Cycle(at.max(now.0 + 1)))
     }
 }
 

@@ -136,6 +136,8 @@ pub struct PageTableStats {
 pub struct PageTable {
     num_gpus: usize,
     page_size: u64,
+    /// `log2(page_size)`: address → page number without a division.
+    page_shift: u32,
     policy: PlacementPolicy,
     leaves: Vec<Option<Box<Leaf>>>,
     touched: usize,
@@ -150,13 +152,15 @@ impl PageTable {
     ///
     /// # Panics
     ///
-    /// Panics if `num_gpus` is 0 or > 64 or `page_size` is 0.
+    /// Panics if `num_gpus` is 0 or > 64 or `page_size` is not a power of
+    /// two.
     pub fn new(num_gpus: usize, page_size: u64, policy: PlacementPolicy) -> PageTable {
         assert!(num_gpus > 0 && num_gpus <= 64);
-        assert!(page_size > 0);
+        assert!(page_size.is_power_of_two());
         PageTable {
             num_gpus,
             page_size,
+            page_shift: page_size.trailing_zeros(),
             policy,
             leaves: Vec::new(),
             touched: 0,
@@ -203,7 +207,7 @@ impl PageTable {
     /// Panics if `gpu` is out of range.
     pub fn access(&mut self, gpu: usize, va: u64, is_write: bool, now: Cycle) -> AccessOutcome {
         assert!(gpu < self.num_gpus, "gpu {gpu} out of range");
-        let page = va / self.page_size;
+        let page = va >> self.page_shift;
         let (li, off) = (page as usize / LEAF_PAGES, page as usize % LEAF_PAGES);
         if li >= self.leaves.len() {
             self.leaves.resize_with(li + 1, || None);

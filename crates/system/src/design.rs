@@ -1,6 +1,7 @@
 //! The named system configurations of the paper's figures.
 
 use carve::{CoherencePolicy, WritePolicy};
+use carve_gpu::sm::MAX_WARPS_PER_SM;
 use carve_runtime::page_table::{PlacementPolicy, Replication};
 use sim_core::{FaultPlan, ScaledConfig, SimError};
 
@@ -245,10 +246,23 @@ impl SimConfig {
         if c.warps_per_sm == 0 {
             return fail("warps_per_sm is 0; each SM needs at least one warp slot".into());
         }
+        if c.warps_per_sm > MAX_WARPS_PER_SM {
+            return fail(format!(
+                "warps_per_sm is {}; an SM holds at most {MAX_WARPS_PER_SM} warps \
+                 (one bit per slot in its warp-phase masks)",
+                c.warps_per_sm
+            ));
+        }
         if c.line_size == 0 || !c.line_size.is_power_of_two() {
             return fail(format!(
                 "line_size is {}; it must be a non-zero power of two",
                 c.line_size
+            ));
+        }
+        if !c.page_size.is_power_of_two() {
+            return fail(format!(
+                "page_size is {}; it must be a non-zero power of two",
+                c.page_size
             ));
         }
         if c.page_size < c.line_size {
@@ -275,8 +289,11 @@ impl SimConfig {
                 c.l1_ways, c.l2_ways
             ));
         }
-        if c.l2_banks == 0 {
-            return fail("l2_banks is 0; the L2 needs at least one bank".into());
+        if !c.l2_banks.is_power_of_two() {
+            return fail(format!(
+                "l2_banks is {}; it must be a non-zero power of two",
+                c.l2_banks
+            ));
         }
         if c.link_bytes_per_cycle <= 0.0 || c.cpu_link_bytes_per_cycle <= 0.0 {
             return fail(format!(
@@ -297,10 +314,10 @@ impl SimConfig {
             c.cpu_link_bytes_per_cycle,
             c.cpu_link_latency,
         )?;
-        if c.dram_channels == 0 || c.dram_banks_per_channel == 0 {
+        if !(c.dram_channels.is_power_of_two() && c.dram_banks_per_channel.is_power_of_two()) {
             return fail(format!(
                 "DRAM geometry is degenerate (dram_channels={}, dram_banks_per_channel={}); \
-                 both must be at least 1",
+                 both must be non-zero powers of two",
                 c.dram_channels, c.dram_banks_per_channel
             ));
         }
@@ -441,6 +458,14 @@ mod tests {
             "pod_size",
         );
         check(|s| s.cfg.dram_channels = 0, "dram_channels");
+        check(|s| s.cfg.warps_per_sm = 65, "warps_per_sm");
+        check(|s| s.cfg.page_size = 3 * 4096, "page_size");
+        check(|s| s.cfg.l2_banks = 6, "l2_banks");
+        check(|s| s.cfg.dram_channels = 6, "dram_channels");
+        check(
+            |s| s.cfg.dram_banks_per_channel = 12,
+            "dram_banks_per_channel",
+        );
         check(|s| s.spill_fraction = 1.5, "spill_fraction");
         check(|s| s.spill_fraction = -0.1, "spill_fraction");
         check(|s| s.max_cycles = 0, "max_cycles");

@@ -221,6 +221,30 @@ struct System {
     /// Armed fault schedule (`None` for fault-free runs: one `Option`
     /// check per tick keeps the fault-free hot path untouched).
     faults: Option<Box<FaultState>>,
+    // EQUIVALENCE: each wake below is a lower bound on the first cycle at
+    // which ticking its component could do anything (DESIGN.md §3 lists
+    // which input lowers which wake). A component is refreshed from its
+    // own `NextEvent` right after it ticks and after every input that
+    // can pull its horizon in, so a component skipped because its wake
+    // lies in the future would have ticked as a pure no-op under the
+    // stepping engine, and everything it does happens at the same cycle
+    // in the same order. `EngineMode::Step` never reads these values and
+    // ticks every component every cycle, so the Step golden fixtures
+    // check this bookkeeping independently.
+    /// Per GPU: the cycle its core (L2 banks + SMs) is next due.
+    core_wake: Vec<u64>,
+    /// Per GPU: the cycle its DRAM is next due.
+    dram_wake: Vec<u64>,
+    /// The cycle the link network next delivers.
+    net_wake: u64,
+    /// The cycle CPU memory next completes an access.
+    cpu_wake: u64,
+    /// Bit `g` marks core `g` as ticked or handed an input this tick; its
+    /// wake is recomputed when the tick ends.
+    core_dirty: u64,
+    /// Bit `g` marks GPU `g`'s `ext_retry` or `dram_retry` queue as
+    /// non-empty (both are retried every cycle).
+    retry_gpus: u64,
     /// Per-GPU lines dropped by coherence invalidations, tracked only when
     /// the cycle profiler is on (`None` otherwise — one `Option` check on
     /// the invalidate and remote-read paths). Consumed by
@@ -356,7 +380,63 @@ impl System {
             san: None,
             faults,
             cfg,
+            core_wake: vec![u64::MAX; num_gpus],
+            dram_wake: vec![u64::MAX; num_gpus],
+            net_wake: u64::MAX,
+            cpu_wake: u64::MAX,
+            core_dirty: 0,
+            retry_gpus: 0,
             prof_invalidated: None,
+        }
+    }
+
+    /// Sends a message and pulls the network's wake in to its arrival.
+    fn send(&mut self, src: NodeId, dst: NodeId, token: u64, bytes: u64, now: Cycle) {
+        self.net.send(src, dst, token, bytes, now);
+        self.net_wake = self.net_wake.min(wake_of(self.net.next_event(now)));
+    }
+
+    /// Enqueues a DRAM access on GPU `g` and pulls that DRAM's wake in.
+    fn enqueue_dram(
+        &mut self,
+        g: usize,
+        is_write: bool,
+        token: u64,
+        addr: u64,
+        now: Cycle,
+    ) -> Result<(), u64> {
+        let dram = &mut self.drams[g];
+        let queued = if is_write {
+            dram.try_enqueue_write(token, addr, now)
+        } else {
+            dram.try_enqueue_read(token, addr, now)
+        };
+        self.dram_wake[g] = self.dram_wake[g].min(wake_of(dram.next_event(now)));
+        queued
+    }
+
+    /// Enqueues a CPU-memory access and pulls its wake in.
+    fn enqueue_cpu(&mut self, token: u64, is_write: bool, now: Cycle) {
+        self.cpu_mem.enqueue(token, is_write, now);
+        self.cpu_wake = self.cpu_wake.min(wake_of(self.cpu_mem.next_event(now)));
+    }
+
+    /// Queues a remote GPU's read at `home`'s L2. The bank may serve it
+    /// this very cycle, so the core is due now (or, once the cores have
+    /// ticked, refreshed when the tick ends).
+    fn external_read(&mut self, home: usize, token: u64, line: u64, now: Cycle) -> Result<(), u64> {
+        self.cores[home].external_read(token, line)?;
+        self.core_wake[home] = self.core_wake[home].min(now.0);
+        self.touch_core(home);
+        Ok(())
+    }
+
+    /// Schedules `kernel`'s CTAs on every GPU; every core is due at once.
+    fn launch_kernel(&mut self, kernel: usize, ctas: usize) {
+        for g in 0..self.num_gpus {
+            let (start, end) = cta_range_of_gpu(g, ctas, self.num_gpus);
+            self.cores[g].launch_kernel(kernel, start..end);
+            self.core_wake[g] = 0;
         }
     }
 
@@ -454,16 +534,20 @@ impl System {
             match kind {
                 FaultKind::LinkDegrade { edge, percent } => {
                     self.net.set_link_bandwidth_factor(edge as usize, percent);
+                    self.net_wake = now.0;
                 }
                 FaultKind::LinkRestore { edge } => {
                     self.net.set_link_bandwidth_factor(edge as usize, 100);
+                    self.net_wake = now.0;
                 }
                 FaultKind::LinkOutage { edge } => {
                     f.recovery.reroutes += self.net.fail_link(edge as usize, now)?;
                     f.recovery.outages += 1;
+                    self.net_wake = now.0;
                 }
                 FaultKind::DramTransient { gpu, count } => {
                     self.drams[gpu as usize].inject_transient_faults(count);
+                    self.dram_wake[gpu as usize] = now.0;
                 }
                 FaultKind::PacketDrop { count } => self.net.inject_packet_drops(count),
                 FaultKind::ForwardDrop { count } => self.net.inject_forward_drops(count),
@@ -527,6 +611,17 @@ impl System {
             self.read_latency.record(now.0.saturating_sub(t0));
         }
         self.cores[gpu].complete_miss(tag, now);
+        self.touch_core(gpu);
+    }
+
+    /// Marks core `g` for a wake refresh (and an outbox drain) when this
+    /// tick ends. For every core input but [`System::external_read`],
+    /// which also makes the core due at once, that is enough: none of
+    /// them queues work the core could act on before `now + 1` (fills
+    /// wake warps 10 cycles out and post to the outbox or
+    /// `external_done`, which the end of the tick drains).
+    fn touch_core(&mut self, g: usize) {
+        self.core_dirty |= 1 << g;
     }
 
     fn rdc_probe_addr(&self, gpu: usize, line: u64) -> u64 {
@@ -538,8 +633,9 @@ impl System {
     /// Posts a DRAM write, falling back to the retry queue when full.
     fn dram_write_best_effort(&mut self, gpu: usize, addr: u64, now: Cycle) {
         let token = self.pending.untracked_token();
-        if self.drams[gpu].try_enqueue_write(token, addr, now).is_err() {
+        if self.enqueue_dram(gpu, true, token, addr, now).is_err() {
             self.dram_retry[gpu].push_back(addr);
+            self.retry_gpus |= 1 << gpu;
         }
     }
 
@@ -555,7 +651,7 @@ impl System {
                 continue;
             }
             let token = self.pending.insert(Pending::Invalidate { target, line });
-            self.net.send(
+            self.send(
                 NodeId::Gpu(home),
                 NodeId::Gpu(target),
                 token,
@@ -578,11 +674,13 @@ impl System {
             }
         }
         self.cores[target].invalidate_line(line);
+        self.touch_core(target);
     }
 
     /// A remote write has (logically) reached its home node.
     fn write_at_home(&mut self, home: usize, line: u64, writer: usize, now: Cycle) {
         self.cores[home].external_write(line);
+        self.touch_core(home);
         self.dram_write_best_effort(home, line, now);
         let Some(carve) = self.carve.as_mut() else {
             return;
@@ -613,8 +711,7 @@ impl System {
                         gpu: g,
                         tag: req.tag,
                     });
-                    self.drams[g]
-                        .try_enqueue_read(token, req.line_addr, now)
+                    self.enqueue_dram(g, false, token, req.line_addr, now)
                         // audit:allow(tick-path-panics) guarded by can_accept_read in the same branch
                         .expect("capacity checked");
                     if !req.external {
@@ -659,8 +756,7 @@ impl System {
                             line: req.line_addr,
                             home: h,
                         });
-                        self.drams[g]
-                            .try_enqueue_read(token, probe_addr, now)
+                        self.enqueue_dram(g, false, token, probe_addr, now)
                             // audit:allow(tick-path-panics) guarded by can_accept_read in the same branch
                             .expect("capacity checked");
                         true
@@ -690,8 +786,7 @@ impl System {
                             line: req.line_addr,
                             home: usize::MAX, // sentinel: CPU home
                         });
-                        self.drams[g]
-                            .try_enqueue_read(token, probe_addr, now)
+                        self.enqueue_dram(g, false, token, probe_addr, now)
                             // audit:allow(tick-path-panics) guarded by can_accept_read in the same branch
                             .expect("capacity checked");
                         return true;
@@ -701,7 +796,7 @@ impl System {
                         tag: req.tag,
                         phase: RemotePhase::Go,
                     });
-                    self.net.send(me, NodeId::Cpu, token, msg::REQ_BYTES, now);
+                    self.send(me, NodeId::Cpu, token, msg::REQ_BYTES, now);
                     self.traffic.remote += 1;
                     self.traffic.cpu += 1;
                     true
@@ -721,16 +816,14 @@ impl System {
                         line: req.line_addr,
                         writer: g,
                     });
-                    self.net
-                        .send(me, NodeId::Gpu(h), token, msg::WRITE_DATA_BYTES, now);
+                    self.send(me, NodeId::Gpu(h), token, msg::WRITE_DATA_BYTES, now);
                     self.traffic.remote += 1;
                     true
                 }
                 NodeId::Cpu => {
                     let token = self.pending.untracked_token();
-                    self.net
-                        .send(me, NodeId::Cpu, token, msg::WRITE_DATA_BYTES, now);
-                    self.cpu_mem.enqueue(token, true, now);
+                    self.send(me, NodeId::Cpu, token, msg::WRITE_DATA_BYTES, now);
+                    self.enqueue_cpu(token, true, now);
                     self.traffic.remote += 1;
                     self.traffic.cpu += 1;
                     true
@@ -741,8 +834,7 @@ impl System {
                     return false;
                 }
                 let token = self.pending.untracked_token();
-                self.drams[g]
-                    .try_enqueue_write(token, req.line_addr, now)
+                self.enqueue_dram(g, true, token, req.line_addr, now)
                     // audit:allow(tick-path-panics) guarded by can_accept_write in the same branch
                     .expect("capacity checked");
                 self.traffic.local += 1;
@@ -791,7 +883,7 @@ impl System {
             phase: RemotePhase::Go,
             cause,
         });
-        self.net.send(
+        self.send(
             NodeId::Gpu(g),
             NodeId::Gpu(home),
             token,
@@ -801,11 +893,18 @@ impl System {
         self.traffic.remote += 1;
     }
 
-    fn handle_dram_completions(&mut self, now: Cycle) {
+    fn handle_dram_completions(&mut self, now: Cycle, mode: EngineMode) {
         let mut comps = std::mem::take(&mut self.comp_scratch);
         for g in 0..self.num_gpus {
             comps.clear();
-            self.drams[g].tick_into(now, &mut comps);
+            match mode {
+                EngineMode::Step => self.drams[g].tick_all_into(now, &mut comps),
+                EngineMode::EventSkip if self.dram_wake[g] <= now.0 => {
+                    self.drams[g].tick_into(now, &mut comps)
+                }
+                EngineMode::EventSkip => continue,
+            }
+            self.dram_wake[g] = wake_of(self.drams[g].next_event(now));
             for &comp in &comps {
                 if comp.is_write {
                     continue;
@@ -846,13 +945,7 @@ impl System {
                                 tag,
                                 phase: RemotePhase::Go,
                             });
-                            self.net.send(
-                                NodeId::Gpu(gpu),
-                                NodeId::Cpu,
-                                token,
-                                msg::REQ_BYTES,
-                                now,
-                            );
+                            self.send(NodeId::Gpu(gpu), NodeId::Cpu, token, msg::REQ_BYTES, now);
                             self.traffic.remote += 1;
                             self.traffic.cpu += 1;
                             self.cpu_fill_lines[gpu].insert_if_absent(tag, line);
@@ -884,10 +977,14 @@ impl System {
         self.comp_scratch = comps;
     }
 
-    fn handle_cpu_mem(&mut self, now: Cycle) {
+    fn handle_cpu_mem(&mut self, now: Cycle, mode: EngineMode) {
+        if mode == EngineMode::EventSkip && self.cpu_wake > now.0 {
+            return;
+        }
         let mut comps = std::mem::take(&mut self.comp_scratch);
         comps.clear();
         self.cpu_mem.tick_into(now, &mut comps);
+        self.cpu_wake = wake_of(self.cpu_mem.next_event(now));
         for &comp in &comps {
             if comp.is_write {
                 continue;
@@ -902,7 +999,7 @@ impl System {
                     tag,
                     phase: RemotePhase::Return,
                 };
-                self.net.send(
+                self.send(
                     NodeId::Cpu,
                     NodeId::Gpu(gpu),
                     comp.token,
@@ -931,10 +1028,17 @@ impl System {
         }
     }
 
-    fn handle_deliveries(&mut self, now: Cycle) {
+    fn handle_deliveries(&mut self, now: Cycle, mode: EngineMode) {
+        if mode == EngineMode::EventSkip && self.net_wake > now.0 {
+            return;
+        }
         let mut ds = std::mem::take(&mut self.deliv_scratch);
         ds.clear();
-        self.net.tick_into(now, &mut ds);
+        match mode {
+            EngineMode::Step => self.net.tick_all_into(now, &mut ds),
+            EngineMode::EventSkip => self.net.tick_into(now, &mut ds),
+        }
+        self.net_wake = wake_of(self.net.next_event(now));
         for &d in &ds {
             let Some(p) = self.pending.get(d.token).copied() else {
                 // Untracked payloads (migrations, CPU writes) are legal;
@@ -974,8 +1078,9 @@ impl System {
                             phase: RemotePhase::AtHome,
                             cause,
                         };
-                    if self.cores[home].external_read(d.token, line).is_err() {
+                    if self.external_read(home, d.token, line, now).is_err() {
                         self.ext_retry[home].push_back((d.token, line));
+                        self.retry_gpus |= 1 << home;
                     }
                 }
                 Pending::RemoteRead {
@@ -1005,7 +1110,7 @@ impl System {
                                         line: victim,
                                         writer: requester,
                                     });
-                                    self.net.send(
+                                    self.send(
                                         NodeId::Gpu(requester),
                                         NodeId::Gpu(vh),
                                         token,
@@ -1035,7 +1140,7 @@ impl System {
                         tag,
                         phase: RemotePhase::AtHome,
                     };
-                    self.cpu_mem.enqueue(d.token, false, now);
+                    self.enqueue_cpu(d.token, false, now);
                 }
                 Pending::CpuRead {
                     gpu,
@@ -1101,7 +1206,7 @@ impl System {
                     phase: RemotePhase::Return,
                     cause,
                 };
-                self.net.send(
+                self.send(
                     NodeId::Gpu(home),
                     NodeId::Gpu(requester),
                     token,
@@ -1113,9 +1218,12 @@ impl System {
     }
 
     fn handle_retries(&mut self, now: Cycle) {
-        for g in 0..self.num_gpus {
+        let mut gpus = self.retry_gpus;
+        while gpus != 0 {
+            let g = gpus.trailing_zeros() as usize;
+            gpus &= gpus - 1;
             while let Some(&(token, line)) = self.ext_retry[g].front() {
-                if self.cores[g].external_read(token, line).is_ok() {
+                if self.external_read(g, token, line, now).is_ok() {
                     self.ext_retry[g].pop_front();
                 } else {
                     break;
@@ -1124,14 +1232,16 @@ impl System {
             while let Some(&addr) = self.dram_retry[g].front() {
                 if self.drams[g].can_accept_write(addr) {
                     let token = self.pending.untracked_token();
-                    self.drams[g]
-                        .try_enqueue_write(token, addr, now)
+                    self.enqueue_dram(g, true, token, addr, now)
                         // audit:allow(tick-path-panics) guarded by can_accept_write in the same branch
                         .expect("capacity checked");
                     self.dram_retry[g].pop_front();
                 } else {
                     break;
                 }
+            }
+            if self.ext_retry[g].is_empty() && self.dram_retry[g].is_empty() {
+                self.retry_gpus &= !(1 << g);
             }
         }
     }
@@ -1146,45 +1256,65 @@ impl System {
             self.pt
                 .block_page_until(m.page, Cycle(now.0 + transfer + MIGRATION_STALL));
             let token = self.pending.untracked_token(); // untracked payload
-            self.net
-                .send(m.from, NodeId::Gpu(m.to), token, self.cfg.page_size, now);
-            for core in &mut self.cores {
-                core.shootdown(m.page);
+            self.send(m.from, NodeId::Gpu(m.to), token, self.cfg.page_size, now);
+            for g in 0..self.num_gpus {
+                self.cores[g].shootdown(m.page);
+                self.touch_core(g);
             }
             self.traffic.migrations += 1;
         }
         self.migrations_buf = migrations;
     }
 
-    fn tick(&mut self, now: Cycle) {
-        self.handle_dram_completions(now);
-        self.handle_cpu_mem(now);
-        self.handle_deliveries(now);
+    /// Advances the machine one cycle. Under [`EngineMode::EventSkip`]
+    /// only components whose wake is due tick; [`EngineMode::Step`] ticks
+    /// every component (and every SM, DRAM channel and link inside it).
+    fn tick(&mut self, now: Cycle, mode: EngineMode) {
+        self.handle_dram_completions(now, mode);
+        self.handle_cpu_mem(now, mode);
+        self.handle_deliveries(now, mode);
         self.handle_delayed(now);
         self.handle_retries(now);
         // GPU cores issue and service.
-        {
-            for g in 0..self.num_gpus {
-                let mut xl = SystemXl {
-                    pt: &mut self.pt,
-                    migrations: &mut self.migrations_buf,
-                };
-                let fabric = NetFabric { net: &self.net };
+        let all = mode == EngineMode::Step;
+        for g in 0..self.num_gpus {
+            if !all && self.core_wake[g] > now.0 {
+                continue;
+            }
+            let mut xl = SystemXl {
+                pt: &mut self.pt,
+                migrations: &mut self.migrations_buf,
+            };
+            let fabric = NetFabric { net: &self.net };
+            if all {
+                self.cores[g].tick_all(now, &mut xl, &fabric);
+            } else {
                 self.cores[g].tick(now, &mut xl, &fabric);
             }
+            self.core_dirty |= 1 << g;
         }
         self.process_migrations(now);
+        // Only dirty cores can hold completed external reads or outgoing
+        // requests: both are produced by a core's own tick or by a fill,
+        // and a core left holding requests is due again next cycle (its
+        // `next_event` is `now + 1`), so it ticks and is dirty then too.
         // Home-side external reads that completed in the cores, drained
         // through a reused scratch buffer (the heap is order-insensitive).
         for g in 0..self.num_gpus {
-            self.cores[g].drain_external_done_into(&mut self.ext_done_scratch);
+            if self.core_dirty & (1 << g) != 0 {
+                self.cores[g].drain_external_done_into(&mut self.ext_done_scratch);
+            }
         }
         for &(token, at) in &self.ext_done_scratch {
             self.delayed.push(Reverse((at.0, token)));
         }
         self.ext_done_scratch.clear();
-        // Drain outboxes with head-of-line back-pressure.
+        // Drain outboxes with head-of-line back-pressure. The dirty mask is
+        // re-read per core: routing may hand a later core a fill.
         for g in 0..self.num_gpus {
+            if self.core_dirty & (1 << g) == 0 {
+                continue;
+            }
             while let Some(&req) = self.cores[g].outbox_front() {
                 if self.try_route(g, req, now) {
                     self.cores[g].outbox_pop();
@@ -1192,6 +1322,19 @@ impl System {
                     break;
                 }
             }
+        }
+        self.refresh_core_wakes(now);
+    }
+
+    /// Recomputes the wake of every core that ticked or took an input this
+    /// tick, now that its outbox and bank queues have settled. Every due
+    /// core ticked, so no other core's wake can be stale.
+    fn refresh_core_wakes(&mut self, now: Cycle) {
+        let mut dirty = std::mem::take(&mut self.core_dirty);
+        while dirty != 0 {
+            let g = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            self.core_wake[g] = wake_of(self.cores[g].next_event(now));
         }
     }
 
@@ -1222,30 +1365,13 @@ impl System {
         let floor = now.0 + 1;
         // Retry queues are re-attempted every cycle in the stepping
         // engine; keep that cadence so retries land on the same cycle.
-        if self.ext_retry.iter().any(|q| !q.is_empty())
-            || self.dram_retry.iter().any(|q| !q.is_empty())
-        {
+        if self.retry_gpus != 0 {
             return Some(Cycle(floor));
         }
-        // The floor is the lowest horizon any component can report, so the
-        // fold short-circuits the moment it is reached — during busy phases
-        // (some SM always ready) this keeps the skip engine's per-cycle
-        // overhead to roughly one core scan.
-        let mut horizon: Option<Cycle> = None;
-        for core in &self.cores {
-            horizon = earliest(horizon, core.next_event(now));
-            if horizon == Some(Cycle(floor)) {
-                return horizon;
-            }
-        }
-        for dram in &self.drams {
-            horizon = earliest(horizon, dram.next_event(now));
-            if horizon == Some(Cycle(floor)) {
-                return horizon;
-            }
-        }
-        horizon = earliest(horizon, self.net.next_event(now));
-        horizon = earliest(horizon, self.cpu_mem.next_event(now));
+        let mut horizon = match self.component_wake() {
+            u64::MAX => None,
+            w => Some(Cycle(w.max(floor))),
+        };
         if let Some(&Reverse((due, _))) = self.delayed.peek() {
             horizon = earliest(horizon, Some(Cycle(due.max(floor))));
         }
@@ -1261,6 +1387,14 @@ impl System {
             }
         }
         horizon
+    }
+
+    /// The earliest wake over every core, DRAM, the network and CPU
+    /// memory (`u64::MAX` when none will act without outside input).
+    fn component_wake(&self) -> u64 {
+        let cores = self.core_wake.iter().copied().min().unwrap_or(u64::MAX);
+        let drams = self.dram_wake.iter().copied().min().unwrap_or(u64::MAX);
+        cores.min(drams).min(self.net_wake).min(self.cpu_wake)
     }
 
     /// Monotonic count of progress events: retired warp instructions,
@@ -1383,7 +1517,7 @@ impl System {
                                 line,
                                 writer: g,
                             });
-                            self.net.send(
+                            self.send(
                                 NodeId::Gpu(g),
                                 NodeId::Gpu(h),
                                 token,
@@ -1403,6 +1537,11 @@ impl System {
     }
 }
 
+/// A component's wake cycle from its [`NextEvent`] horizon.
+fn wake_of(next: Option<Cycle>) -> u64 {
+    next.map_or(u64::MAX, |c| c.0)
+}
+
 /// How the simulation loop advances time.
 ///
 /// Both modes produce bit-identical results (the event-skipping engine
@@ -1412,7 +1551,9 @@ impl System {
 pub enum EngineMode {
     /// Jump `now` to the minimum [`NextEvent`] horizon across components.
     EventSkip,
-    /// Advance `now` one cycle at a time (the original engine).
+    /// Advance `now` one cycle at a time and tick every core, SM, DRAM
+    /// channel and link on every cycle, reading no wake cycle: the oracle
+    /// the event-skipping engine is checked against.
     Step,
 }
 
@@ -1956,10 +2097,7 @@ pub fn try_run_observed(
                 }
             }
         }
-        for g in 0..num_gpus {
-            let (start, end) = cta_range_of_gpu(g, spec.shape.ctas, num_gpus);
-            sys.cores[g].launch_kernel(kernel, start..end);
-        }
+        sys.launch_kernel(kernel, spec.shape.ctas);
         now += sim.kernel_launch_cycles;
         // The launch jump crosses cycles no component could act in; reset
         // the no-progress baseline so it is not counted against the budget.
@@ -1994,7 +2132,7 @@ pub fn try_run_observed(
             // the forever-freeze watchdog test hook relies on.
             let frozen = sys.is_frozen(Cycle(now));
             if !frozen {
-                sys.tick(Cycle(now));
+                sys.tick(Cycle(now), mode);
                 if let Some(err) = sys.sanitizer_poll(Cycle(now)) {
                     return Err(err);
                 }

@@ -14,7 +14,7 @@ use carve_system::sim::{run_with_profile_mode, EngineMode};
 use carve_system::{workloads, Design, ScaledConfig, SimConfig};
 use carve_trace::{Op, WorkloadSpec};
 use sim_core::rng::Stream;
-use sim_core::{BoundedQueue, Cycle};
+use sim_core::{BoundedQueue, Cycle, FaultPlan, TopologySpec};
 
 /// Runs `cases` random trials of `prop`, each fed an independent stream
 /// derived from `seed` so any failing case is reproducible by index.
@@ -317,45 +317,64 @@ fn quick_sim(design: Design) -> SimConfig {
 }
 
 /// The event-horizon engine must be cycle-for-cycle identical to the
-/// step-by-1 engine: same final cycle count and same value for every
-/// counter the figures plot, across workloads and designs.
+/// step-by-1 engine: every journaled field, across workloads and designs,
+/// and on the machines the golden fixtures (4 GPUs, all-to-all, no
+/// faults) leave out. `Step` ticks every component every cycle, so it
+/// checks each wake cycle the skipping engine keeps: the single-GPU
+/// machine has no links, CARVE-SWC flushes the RDC at every kernel
+/// boundary, 16 GPUs on 4-GPU pods forward every remote message across
+/// switches into a 16-sharer directory, and the fault plan degrades and
+/// restores a link, fails DRAM reads and freezes the machine.
 #[test]
 fn event_skipping_engine_matches_stepping_engine() {
+    let mut points = Vec::new();
     for name in ["Lulesh", "stream-triad", "SSSP"] {
-        for design in [Design::NumaGpu, Design::CarveHwc, Design::NumaGpuMigrate] {
-            let spec = quick_spec(name);
-            let sim = quick_sim(design);
-            let skip = run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip);
-            let step = run_with_profile_mode(&spec, &sim, None, EngineMode::Step);
+        for design in [
+            Design::NumaGpu,
+            Design::CarveHwc,
+            Design::NumaGpuMigrate,
+            Design::SingleGpu,
+            Design::CarveSwc,
+        ] {
             let ctx = format!("{name} under {}", design.label());
-            assert!(step.completed && skip.completed, "{ctx}: hit cycle cap");
-            assert_eq!(skip.cycles, step.cycles, "{ctx}: cycles diverge");
-            assert_eq!(skip.instructions, step.instructions, "{ctx}: instructions");
-            assert_eq!(skip.local_serviced, step.local_serviced, "{ctx}: local");
-            assert_eq!(skip.remote_serviced, step.remote_serviced, "{ctx}: remote");
-            assert_eq!(skip.cpu_serviced, step.cpu_serviced, "{ctx}: cpu");
-            assert_eq!(skip.rdc.hits, step.rdc.hits, "{ctx}: rdc hits");
-            assert_eq!(skip.rdc.misses, step.rdc.misses, "{ctx}: rdc misses");
-            assert_eq!(skip.link_bytes, step.link_bytes, "{ctx}: link bytes");
-            assert_eq!(skip.migrations, step.migrations, "{ctx}: migrations");
-            assert_eq!(skip.broadcasts, step.broadcasts, "{ctx}: broadcasts");
-            assert_eq!(skip.l2_hits, step.l2_hits, "{ctx}: l2 hits");
-            assert_eq!(skip.l2_misses, step.l2_misses, "{ctx}: l2 misses");
-            assert_eq!(
-                skip.read_latency.count(),
-                step.read_latency.count(),
-                "{ctx}: read-latency count"
-            );
-            assert_eq!(
-                skip.read_latency.min(),
-                step.read_latency.min(),
-                "{ctx}: read-latency min"
-            );
-            assert_eq!(
-                skip.read_latency.max(),
-                step.read_latency.max(),
-                "{ctx}: read-latency max"
-            );
+            points.push((ctx, quick_spec(name), quick_sim(design)));
+        }
+    }
+    for design in [Design::NumaGpu, Design::CarveHwc] {
+        let mut sim = quick_sim(design);
+        sim.cfg.num_gpus = 16;
+        sim.cfg.topology = TopologySpec::Hierarchical { pod_size: 4 };
+        sim.directory_coherence = true;
+        let mut spec = quick_spec("SSSP");
+        spec.shape.ctas = 32;
+        let ctx = format!("SSSP on 16 GPUs (hier4) under {}+dir", design.label());
+        points.push((ctx, spec, sim));
+    }
+    let plan = "degrade@600:e1*25,dramfault@900:g1n4,freeze@1500+300,restore@4000:e1";
+    let mut faulted = quick_sim(Design::CarveHwc);
+    faulted.fault_plan = Some(FaultPlan::parse(plan).expect("valid plan"));
+    assert!(faulted
+        .fault_plan
+        .as_ref()
+        .is_some_and(FaultPlan::is_graceful));
+    points.push((
+        format!("Lulesh with faults {plan}"),
+        quick_spec("Lulesh"),
+        faulted,
+    ));
+
+    for (ctx, spec, sim) in &points {
+        let skip = run_with_profile_mode(spec, sim, None, EngineMode::EventSkip);
+        let step = run_with_profile_mode(spec, sim, None, EngineMode::Step);
+        assert!(step.completed && skip.completed, "{ctx}: hit cycle cap");
+        assert_eq!(
+            skip.encode_journal_line(),
+            step.encode_journal_line(),
+            "{ctx}: engines diverge"
+        );
+        if sim.fault_plan.is_some() {
+            let applied = skip.recovery.map(|r| r.faults_applied);
+            assert_eq!(applied, Some(4), "{ctx}: every fault must fire in-run");
         }
     }
 }
