@@ -118,6 +118,14 @@ impl SetAssocCache {
         false
     }
 
+    /// Accounts `n` probes that missed without re-running them: each moves
+    /// only the LRU clock and the miss counter, so this leaves exactly what
+    /// `n` missing [`SetAssocCache::probe`] calls would.
+    pub fn credit_misses(&mut self, n: u64) {
+        self.tick += n;
+        self.misses += n;
+    }
+
     /// Looks up `addr` without disturbing recency or hit/miss statistics.
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
@@ -293,6 +301,21 @@ mod tests {
         assert!(c.probe(0x1000, AccessKind::Read));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    fn credited_misses_match_missing_probes() {
+        let mut probed = cache();
+        let mut credited = cache();
+        for c in [&mut probed, &mut credited] {
+            c.fill(0x1000, false);
+        }
+        for _ in 0..5 {
+            assert!(!probed.probe(0x8000, AccessKind::Read));
+        }
+        credited.credit_misses(5);
+        assert_eq!(probed.misses(), credited.misses());
+        assert_eq!(probed.tick, credited.tick);
     }
 
     #[test]

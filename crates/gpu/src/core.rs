@@ -18,8 +18,17 @@ use crate::types::{CoreReqKind, CoreRequest, Fabric, ReqSource, Translator, Wait
 #[derive(Debug)]
 struct Bank {
     queue: BoundedQueue<L2Req>,
+    /// First cycle the head may be attempted: after a serviced request,
+    /// when the bank is free again; while parked, when the link may accept.
     busy_until: u64,
+    /// Cycle of the head's last attempt while it is parked on a congested
+    /// link ([`NOT_PARKED`] otherwise): the attempts skipped since are
+    /// credited when it next attempts.
+    parked_since: u64,
 }
+
+/// [`Bank::parked_since`] of a bank with no skipped attempts to credit.
+const NOT_PARKED: u64 = u64::MAX;
 
 /// Bookkeeping for one outstanding ReadMiss tag.
 #[derive(Debug, Clone, Copy)]
@@ -196,6 +205,7 @@ impl GpuCore {
             .map(|_| Bank {
                 queue: BoundedQueue::new(16),
                 busy_until: 0,
+                parked_since: NOT_PARKED,
             })
             .collect();
         GpuCore {
@@ -218,9 +228,9 @@ impl GpuCore {
         }
     }
 
-    /// The L2 bank owning `line_addr` (lines interleave across banks).
+    /// The L2 bank owning `line_addr`.
     fn bank_of(&self, line_addr: u64) -> usize {
-        ((line_addr >> self.line_shift) as usize) & (self.banks.len() - 1)
+        bank_index(line_addr, self.line_shift, self.banks.len())
     }
 
     /// Wakes warp `warp` of SM `sm` at `at` and pulls that SM's wake in.
@@ -258,13 +268,15 @@ impl GpuCore {
     /// Advances the core one cycle: L2 banks service their queues, then
     /// each SM whose wake is due may issue one instruction. Skipping the
     /// other SMs is exact: stepping an SM before its horizon does
-    /// nothing observable.
+    /// nothing observable. A bank whose head stalls on a congested link
+    /// parks until [`Fabric::send_ready_at`] (see [`GpuCore::next_event`]),
+    /// so callers must tick every cycle or follow `next_event`.
     pub fn tick<T: Translator, F: Fabric>(&mut self, now: Cycle, xl: &mut T, fabric: &F) {
         self.tick_sms(now, xl, fabric, false);
     }
 
-    /// [`GpuCore::tick`] that steps every SM, due or not: the stepping
-    /// engine's oracle, which consults no wake cycle.
+    /// [`GpuCore::tick`] that steps every SM, due or not, and never parks
+    /// a bank: the stepping engine's oracle, which consults no wake cycle.
     pub fn tick_all<T: Translator, F: Fabric>(&mut self, now: Cycle, xl: &mut T, fabric: &F) {
         self.tick_sms(now, xl, fabric, true);
     }
@@ -277,13 +289,14 @@ impl GpuCore {
         all: bool,
     ) {
         for b in 0..self.banks.len() {
-            self.process_bank(b, now, fabric);
+            self.process_bank(b, now, fabric, !all);
         }
         for s in 0..self.sms.len() {
             if !all && self.sm_wake[s] > now.0 {
                 continue;
             }
             let was_idle = self.sms[s].is_idle();
+            let (banks, line_shift) = (&self.banks, self.line_shift);
             let req = self.sms[s].step(
                 now,
                 self.gpu_id,
@@ -291,6 +304,11 @@ impl GpuCore {
                 &self.cfg,
                 xl,
                 &mut self.l2_tlb,
+                |line| {
+                    banks[bank_index(line, line_shift, banks.len())]
+                        .queue
+                        .is_full()
+                },
             );
             if let Some(req) = req {
                 let bank = self.bank_of(req.line_addr);
@@ -305,13 +323,20 @@ impl GpuCore {
         }
     }
 
-    fn process_bank<F: Fabric>(&mut self, b: usize, now: Cycle, fabric: &F) {
-        if self.banks[b].busy_until > now.0 {
+    /// Serves bank `b`'s head request at `now`. With `park`, a head that
+    /// stalls on a congested link parks its bank instead of re-attempting
+    /// every cycle (see the `EQUIVALENCE` note on [`GpuCore::next_event`]).
+    fn process_bank<F: Fabric>(&mut self, b: usize, now: Cycle, fabric: &F, park: bool) {
+        let bank = &self.banks[b];
+        if bank.busy_until > now.0 {
             return;
         }
-        let Some(&req) = self.banks[b].queue.front() else {
+        let Some(&req) = bank.queue.front() else {
             return;
         };
+        if bank.parked_since != NOT_PARKED {
+            self.settle_parked(b, now.0);
+        }
         let me = NodeId::Gpu(self.gpu_id);
         let local = req.home == me;
         if req.is_store {
@@ -348,7 +373,11 @@ impl GpuCore {
                 }
             } else {
                 if !fabric.can_send(me, req.home, now) {
-                    return; // stall: link congested
+                    // stall: link congested
+                    if park {
+                        self.park(b, now, fabric.send_ready_at(me, req.home, now));
+                    }
+                    return;
                 }
                 // Refresh any cached copy (stays clean: write-through).
                 self.l2.probe(req.line_addr, AccessKind::Read);
@@ -423,6 +452,9 @@ impl GpuCore {
             return;
         }
         if !local && !fabric.can_send(me, req.home, now) {
+            if park {
+                self.park(b, now, fabric.send_ready_at(me, req.home, now));
+            }
             return;
         }
         match self.mshr.allocate(req.line_addr, waiter) {
@@ -447,13 +479,53 @@ impl GpuCore {
         }
     }
 
+    /// Parks bank `b`, whose head just stalled at `now` on a link that
+    /// stays congested before `ready_at`.
+    fn park(&mut self, b: usize, now: Cycle, ready_at: Cycle) {
+        let bank = &mut self.banks[b];
+        bank.parked_since = now.0;
+        bank.busy_until = ready_at.0.max(now.0 + 1);
+    }
+
+    /// Credits the attempts parked bank `b` skipped at the cycles strictly
+    /// between its last attempt and `until` (each was a load probe that
+    /// missed the L2; a store stalls before probing) and unparks it.
+    fn settle_parked(&mut self, b: usize, until: u64) {
+        let bank = &mut self.banks[b];
+        let since = std::mem::replace(&mut bank.parked_since, NOT_PARKED);
+        if bank.queue.front().is_some_and(|r| !r.is_store) {
+            self.l2.credit_misses(until - since - 1);
+        }
+    }
+
+    /// Settles and unparks every parked bank so each attempts again at
+    /// `now`. The system calls this on every applied fault event: a fault
+    /// can reroute or freeze the fabric, and skipped attempts must not
+    /// span a freeze. Returns whether any bank was parked, in which case
+    /// the core is due at `now`.
+    pub fn release_parked(&mut self, now: Cycle) -> bool {
+        let mut any = false;
+        for b in 0..self.banks.len() {
+            if self.banks[b].parked_since != NOT_PARKED {
+                self.settle_parked(b, now.0);
+                self.banks[b].busy_until = 0;
+                any = true;
+            }
+        }
+        any
+    }
+
     /// Delivers data for an outstanding [`CoreReqKind::ReadMiss`]: fills the
     /// L2 (and waiters' L1s), wakes warps and completes external reads.
+    ///
+    /// Returns `true` when the fill lands on the line of a parked bank's
+    /// head, which now hits: the bank attempts again on the next tick, and
+    /// the caller must tick the core at `now` if it has not yet this cycle.
     ///
     /// # Panics
     ///
     /// Panics if `tag` is unknown (a response the core never asked for).
-    pub fn complete_miss(&mut self, tag: u64, now: Cycle) {
+    pub fn complete_miss(&mut self, tag: u64, now: Cycle) -> bool {
         let MissMeta {
             line,
             home,
@@ -473,11 +545,19 @@ impl GpuCore {
                 external: false,
             });
         }
+        let bank = self.bank_of(line);
+        let bank = &mut self.banks[bank];
+        let released = bank.parked_since != NOT_PARKED
+            && bank.busy_until > now.0
+            && bank.queue.front().is_some_and(|r| r.line_addr == line);
+        if released {
+            bank.busy_until = 0;
+        }
         if let Some(token) = external_bypass {
             // Bypassed external read: answer it without touching the MSHR
             // (a demand fill for the same line may still be in flight).
             self.external_done.push((token, Cycle(now.0 + 2)));
-            return;
+            return released;
         }
         for waiter in self.mshr.complete(line) {
             match waiter {
@@ -490,6 +570,7 @@ impl GpuCore {
                 }
             }
         }
+        released
     }
 
     /// Enqueues a read arriving from a remote GPU into an L2 bank. Returns
@@ -598,7 +679,22 @@ impl GpuCore {
         self.busy_sms == 0
     }
 
-    /// Aggregated statistics.
+    /// [`GpuCore::stats`] as the stepping engine reads them just before
+    /// the tick at `end`: parked banks' skipped probes at the cycles below
+    /// `end` count as L2 misses. `end` must lie after every tick so far.
+    pub fn stats_before(&self, end: Cycle) -> CoreStats {
+        let mut s = self.stats();
+        for bank in &self.banks {
+            if bank.parked_since != NOT_PARKED && bank.queue.front().is_some_and(|r| !r.is_store) {
+                s.l2_misses += end.0.saturating_sub(bank.parked_since + 1);
+            }
+        }
+        s
+    }
+
+    /// Aggregated statistics. A parked bank's skipped probes are counted
+    /// when it attempts again or is released (see
+    /// [`GpuCore::stats_before`]); an idle core has none outstanding.
     pub fn stats(&self) -> CoreStats {
         let mut s = CoreStats {
             l2_hits: self.l2.hits(),
@@ -687,6 +783,32 @@ impl GpuCore {
     }
 }
 
+/// The bank of `line_addr` among `banks` (a power of two): lines
+/// interleave across banks.
+fn bank_index(line_addr: u64, line_shift: u32, banks: usize) -> usize {
+    ((line_addr >> line_shift) as usize) & (banks - 1)
+}
+
+// EQUIVALENCE: back-pressure parking. A bank head that stalls because
+// `Fabric::can_send` refuses its link (a remote primary miss or a remote
+// store) parks its bank until `Fabric::send_ready_at`, a lower bound on
+// the first cycle the link can accept (a link's next free slot only
+// grows). Until then every attempt stepping would make stalls the same
+// way: only a fill can bring the head's line into the L2, and it releases
+// the bank (`complete_miss`); only this bank can put the line in the MSHR
+// file; and an outbox that fills up meanwhile stalls the head with the
+// same side effects. So each
+// skipped attempt is worth one L2 miss and one LRU-clock tick for a load
+// (stores stall before probing), credited in one step when the bank next
+// attempts (`settle_parked`). Deferring clock ticks keeps every LRU
+// stamp in the same order, so victims do not change. The credit assumes
+// stepping attempted at every cycle in the window, which only a freeze
+// breaks; the system releases all parked banks, settling the credit, at
+// every applied fault event, since a fault can also reroute the link. A
+// fill of the head's line makes the core due at once (the head hits on
+// that cycle), and mid-window readers of the miss count use
+// `stats_before`. `tick_all` never parks, so the stepping engine checks
+// all of this.
 impl NextEvent for GpuCore {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let floor = now.0 + 1;
@@ -698,10 +820,10 @@ impl NextEvent for GpuCore {
         let mut horizon: Option<Cycle> = None;
         for bank in &self.banks {
             // A non-empty bank queue must be ticked every cycle once its
-            // busy window ends: `process_bank` probes the L2 on each
-            // attempt even when the head then stalls on back-pressure, and
-            // those probes move LRU state. Skipping them would diverge
-            // from the stepping engine.
+            // busy window ends: each attempt whose head misses the L2
+            // moves the LRU clock and the miss counter even when the head
+            // then stalls. A bank parked on a congested link counts as
+            // busy until the link may accept (see the note above).
             if !bank.queue.is_empty() {
                 let at = bank.busy_until.max(floor);
                 if at == floor {
@@ -852,6 +974,169 @@ mod tests {
         }
         assert!(core.invalidate_line(0x8000) > 0);
         assert_eq!(core.invalidate_line(0x8000), 0);
+    }
+
+    /// Homes loads on GPU 3 and stores locally, so load misses queue at
+    /// the bank heads.
+    struct RemoteLoadsXl;
+    impl Translator for RemoteLoadsXl {
+        fn translate(&mut self, gpu: usize, _va: u64, w: bool, _now: Cycle) -> TranslationOutcome {
+            TranslationOutcome {
+                home: NodeId::Gpu(if w { gpu } else { 3 }),
+                blocked_until: None,
+            }
+        }
+    }
+
+    /// A fabric whose links all stay congested before cycle `.0`.
+    struct CongestedUntil(u64);
+    impl Fabric for CongestedUntil {
+        fn can_send(&self, _src: NodeId, _dst: NodeId, now: Cycle) -> bool {
+            now.0 >= self.0
+        }
+        fn send_ready_at(&self, _src: NodeId, _dst: NodeId, _now: Cycle) -> Cycle {
+            Cycle(self.0)
+        }
+    }
+
+    const CONGESTED_UNTIL: u64 = 20_000;
+
+    /// GPU 0 running one CTA that loads from GPU 3.
+    fn remote_core() -> GpuCore {
+        let cfg = ScaledConfig::default();
+        let spec = workloads::by_name("stream-triad").unwrap();
+        let mut core = GpuCore::new(&cfg, &spec, 0);
+        core.launch_kernel(0, 0..1);
+        core
+    }
+
+    /// The first bank parked with a load at its head, if any.
+    fn parked_load_bank(core: &GpuCore) -> Option<usize> {
+        core.banks.iter().position(|b| {
+            b.parked_since != NOT_PARKED && b.queue.front().is_some_and(|r| !r.is_store)
+        })
+    }
+
+    /// Drives `core` the way the event-skipping engine does, ticking only
+    /// at the cycles `next_event` names, from `from` until the next tick
+    /// would pass `until`. Outgoing requests are logged with their cycle
+    /// and never answered. Returns the cycle of the next tick.
+    fn tick_by_events(
+        core: &mut GpuCore,
+        from: u64,
+        until: u64,
+        log: &mut Vec<(u64, CoreRequest)>,
+    ) -> u64 {
+        let fabric = CongestedUntil(CONGESTED_UNTIL);
+        let mut c = from;
+        while c <= until {
+            core.tick(Cycle(c), &mut RemoteLoadsXl, &fabric);
+            while let Some(req) = core.outbox_pop() {
+                log.push((c, req));
+            }
+            c = core.next_event(Cycle(c)).map_or(u64::MAX, |n| n.0);
+        }
+        c
+    }
+
+    /// [`tick_by_events`] for the stepping engine: every cycle, `tick_all`.
+    fn tick_every_cycle(
+        core: &mut GpuCore,
+        from: u64,
+        until: u64,
+        log: &mut Vec<(u64, CoreRequest)>,
+    ) {
+        let fabric = CongestedUntil(CONGESTED_UNTIL);
+        for c in from..=until {
+            core.tick_all(Cycle(c), &mut RemoteLoadsXl, &fabric);
+            while let Some(req) = core.outbox_pop() {
+                log.push((c, req));
+            }
+        }
+    }
+
+    #[test]
+    fn stalled_remote_miss_parks_its_bank_until_the_link_frees() {
+        let mid = CONGESTED_UNTIL / 2;
+        let end = CONGESTED_UNTIL + 2_000;
+        let (mut skip, mut step) = (remote_core(), remote_core());
+        let (mut skip_log, mut step_log) = (Vec::new(), Vec::new());
+        // Every warp soon waits on a remote load, and the bank heads park:
+        // the core's next event is the cycle the link frees.
+        let next = tick_by_events(&mut skip, 0, mid, &mut skip_log);
+        assert_eq!(
+            next, CONGESTED_UNTIL,
+            "parked core must sleep to the link's free cycle"
+        );
+        assert!(
+            parked_load_bank(&skip).is_some(),
+            "a remote miss head must park"
+        );
+        // Mid-window, the settled miss count is what stepping has counted.
+        tick_every_cycle(&mut step, 0, mid - 1, &mut step_log);
+        assert_eq!(skip.stats_before(Cycle(mid)), step.stats());
+        assert!(skip.stats().l2_misses < step.stats().l2_misses);
+        // After the link frees, both engines agree on every count and on
+        // every request and the cycle it left.
+        tick_by_events(&mut skip, next, end, &mut skip_log);
+        tick_every_cycle(&mut step, mid, end, &mut step_log);
+        assert!(skip.banks.iter().all(|b| b.parked_since == NOT_PARKED));
+        assert_eq!(skip.stats(), step.stats());
+        assert_eq!(skip_log, step_log);
+        assert!(skip_log.iter().any(|&(c, _)| c >= CONGESTED_UNTIL));
+    }
+
+    #[test]
+    fn fill_of_a_parked_heads_line_makes_it_hit_that_cycle() {
+        // Learn the line a parked head waits on.
+        let mut probe = remote_core();
+        tick_by_events(&mut probe, 0, 1_000, &mut Vec::new());
+        let b = parked_load_bank(&probe).expect("a remote miss head must park");
+        let line = probe.banks[b].queue.front().unwrap().line_addr;
+
+        // Both engines: an external read of that line misses first (an
+        // L2 bypass toward this GPU's memory), then the same CTA runs.
+        let cfg = ScaledConfig::default();
+        let spec = workloads::by_name("stream-triad").unwrap();
+        let mut cores = [GpuCore::new(&cfg, &spec, 0), GpuCore::new(&cfg, &spec, 0)];
+        let mut tags = [0; 2];
+        for (core, tag) in cores.iter_mut().zip(&mut tags) {
+            core.external_read(77, line).unwrap();
+            core.tick_all(
+                Cycle(0),
+                &mut RemoteLoadsXl,
+                &CongestedUntil(CONGESTED_UNTIL),
+            );
+            let req = core.outbox_pop().expect("external read must miss");
+            assert!(req.external && req.line_addr == line);
+            *tag = req.tag;
+            core.launch_kernel(0, 0..1);
+        }
+        let [mut skip, mut step] = cores;
+        let (mut skip_log, mut step_log) = (Vec::new(), Vec::new());
+        let fill_at = 5_000;
+        let next = tick_by_events(&mut skip, 1, fill_at - 1, &mut skip_log);
+        assert!(next > fill_at, "the core must be asleep at the fill");
+        assert_eq!(skip.banks[b].queue.front().unwrap().line_addr, line);
+        tick_every_cycle(&mut step, 1, fill_at - 1, &mut step_log);
+
+        // The bypass fill lands on the parked head's line: the core is due
+        // at once, and the head hits on this very cycle under both engines.
+        assert!(skip.complete_miss(tags[0], Cycle(fill_at)));
+        assert!(!step.complete_miss(tags[1], Cycle(fill_at)));
+        let hits = step.stats().l2_hits;
+        tick_by_events(&mut skip, fill_at, fill_at, &mut skip_log);
+        tick_every_cycle(&mut step, fill_at, fill_at, &mut step_log);
+        assert_eq!(step.stats().l2_hits, hits + 1, "the head must hit");
+        assert_eq!(skip.stats(), step.stats());
+        assert_ne!(skip.banks[b].queue.front().map(|r| r.line_addr), Some(line));
+
+        let end = CONGESTED_UNTIL + 2_000;
+        let next = skip.next_event(Cycle(fill_at)).unwrap().0;
+        tick_by_events(&mut skip, next, end, &mut skip_log);
+        tick_every_cycle(&mut step, fill_at + 1, end, &mut step_log);
+        assert_eq!(skip.stats(), step.stats());
+        assert_eq!(skip_log, step_log);
     }
 
     #[test]

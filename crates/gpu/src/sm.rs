@@ -78,7 +78,7 @@ pub struct L2Req {
     pub source: ReqSource,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReplayStage {
     /// Translation done; L1 not yet probed (TLB/migration delay elapsed).
     PreL1,
@@ -86,7 +86,7 @@ enum ReplayStage {
     PostL1,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Replay {
     va: u64,
     is_store: bool,
@@ -271,9 +271,13 @@ impl Sm {
     ///
     /// The caller must deliver the returned request to an L2 bank queue; if
     /// the queue rejects it, call [`Sm::fail_l2`] to restore the warp.
-    /// Stepping an SM before the earliest cycle it could act on its own
-    /// (a ready warp, a fillable CTA, or an expired block) does
-    /// nothing observable, so callers may skip such cycles.
+    /// `bank_full(line)` says whether the queue of `line`'s bank is full
+    /// right now: a replay of a rejected request into a full queue is
+    /// counted and kept here instead of being re-emitted. Stepping an SM
+    /// before the earliest cycle it could act on its own (a ready warp, a
+    /// fillable CTA, or an expired block) does nothing observable, so
+    /// callers may skip such cycles.
+    #[allow(clippy::too_many_arguments)]
     pub fn step<T: Translator>(
         &mut self,
         now: Cycle,
@@ -282,6 +286,7 @@ impl Sm {
         cfg: &ScaledConfig,
         xl: &mut T,
         l2_tlb: &mut Tlb,
+        bank_full: impl Fn(u64) -> bool,
     ) -> Option<L2Req> {
         self.try_fill_slots(spec, cfg);
         // Lazy wake: a warp whose block has expired is indistinguishable
@@ -322,7 +327,14 @@ impl Sm {
                 ReplayStage::PostL1 => {
                     // Re-emit the previously rejected L2 request.
                     let line = replay.va; // already line-aligned
-                    if replay.is_store {
+                    if bank_full(line) {
+                        // Re-emitting it, the rejection and `fail_l2` would
+                        // leave exactly this behind: the warp ready, its
+                        // replay kept, one more replay counted.
+                        self.slots[idx].replay = Some(replay);
+                        self.stats.replays += 1;
+                        None
+                    } else if replay.is_store {
                         Some(L2Req {
                             line_addr: line,
                             is_store: true,
@@ -569,7 +581,7 @@ mod tests {
         let mut reqs = 0;
         for c in 0..20_000u64 {
             if sm
-                .step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb)
+                .step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb, |_| false)
                 .is_some()
             {
                 reqs += 1;
@@ -587,7 +599,9 @@ mod tests {
         let mut pending: Option<L2Req> = None;
         let mut cycle = 0u64;
         while pending.is_none() && cycle < 100_000 {
-            if let Some(r) = sm.step(Cycle(cycle), 0, &spec, &cfg, &mut xl, &mut l2_tlb) {
+            if let Some(r) = sm.step(Cycle(cycle), 0, &spec, &cfg, &mut xl, &mut l2_tlb, |_| {
+                false
+            }) {
                 if !r.is_store {
                     pending = Some(r);
                 }
@@ -603,7 +617,7 @@ mod tests {
         // After wakeup the warp issues again eventually.
         let before = sm.stats().instructions;
         for c in cycle..cycle + 5000 {
-            sm.step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb);
+            sm.step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb, |_| false);
         }
         assert!(sm.stats().instructions > before);
     }
@@ -615,7 +629,9 @@ mod tests {
         let mut first: Option<L2Req> = None;
         let mut cycle = 0u64;
         while first.is_none() && cycle < 100_000 {
-            first = sm.step(Cycle(cycle), 0, &spec, &cfg, &mut xl, &mut l2_tlb);
+            first = sm.step(Cycle(cycle), 0, &spec, &cfg, &mut xl, &mut l2_tlb, |_| {
+                false
+            });
             cycle += 1;
         }
         let req = first.expect("expected a request");
@@ -629,7 +645,7 @@ mod tests {
         let want = source_warp(req.source);
         let mut again = None;
         for c in cycle..cycle + 1000 {
-            if let Some(r) = sm.step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb) {
+            if let Some(r) = sm.step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb, |_| false) {
                 if source_warp(r.source) == want {
                     again = Some(r);
                     break;
@@ -640,6 +656,66 @@ mod tests {
         assert_eq!(r2.line_addr, req.line_addr);
         assert_eq!(r2.is_store, req.is_store);
         assert_eq!(sm.stats().replays, 1);
+    }
+
+    /// One cycle of an SM behind an L2 bank that is full whenever
+    /// `c % 4 != 0`: a rejected request goes back through `fail_l2`, an
+    /// accepted load is filled 20 cycles later. `short_circuit` chooses
+    /// whether `step` is told the bank is full. Returns whether `step`
+    /// emitted a request.
+    fn step_behind_full_bank(
+        (sm, l2_tlb, spec, cfg): &mut (Sm, Tlb, WorkloadSpec, ScaledConfig),
+        c: u64,
+        short_circuit: bool,
+        fills: &mut Vec<(usize, u64)>,
+    ) -> bool {
+        let full = !c.is_multiple_of(4);
+        let req = sm.step(Cycle(c), 0, spec, cfg, &mut LocalXl, l2_tlb, |_| {
+            short_circuit && full
+        });
+        let emitted = req.is_some();
+        if let Some(r) = req {
+            if full {
+                sm.fail_l2(r);
+            } else if let ReqSource::Warp { warp, .. } = r.source {
+                sm.fill_l1(r.line_addr, false);
+                fills.push((warp, c + 20));
+            }
+        }
+        fills.retain(|&(warp, at)| {
+            if at == c {
+                sm.wake_warp(warp, Cycle(at));
+            }
+            at > c
+        });
+        emitted
+    }
+
+    #[test]
+    fn full_bank_replay_short_circuit_matches_the_reject_path() {
+        let (mut fast, mut slow) = (setup(), setup());
+        let (mut fast_fills, mut slow_fills) = (Vec::new(), Vec::new());
+        let mut short_circuits = 0;
+        for c in 0..20_000u64 {
+            let fast_out = step_behind_full_bank(&mut fast, c, true, &mut fast_fills);
+            let slow_out = step_behind_full_bank(&mut slow, c, false, &mut slow_fills);
+            let (fast, slow) = (&fast.0, &slow.0);
+            if slow_out && !fast_out {
+                short_circuits += 1;
+            }
+            assert_eq!(fast.rr, slow.rr, "cycle {c}: pick sequence diverged");
+            assert_eq!(fast.stats(), slow.stats(), "cycle {c}: counters diverged");
+            assert_eq!(
+                (fast.ready, fast.blocked, fast.waiting),
+                (slow.ready, slow.blocked, slow.waiting),
+                "cycle {c}: warp phases diverged"
+            );
+            for (i, (f, s)) in fast.slots.iter().zip(&slow.slots).enumerate() {
+                assert_eq!(f.replay, s.replay, "cycle {c}: slot {i} replay diverged");
+            }
+        }
+        assert!(short_circuits > 100, "only {short_circuits} short-circuits");
+        assert!(fast.0.stats().replays > 0 && fast.0.stats().instructions > 0);
     }
 
     #[test]
@@ -653,7 +729,7 @@ mod tests {
         let mut waiting: Vec<(usize, u64)> = Vec::new();
         let mut c = 0u64;
         while !sm.is_idle() && c < 3_000_000 {
-            if let Some(req) = sm.step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb) {
+            if let Some(req) = sm.step(Cycle(c), 0, &spec, &cfg, &mut xl, &mut l2_tlb, |_| false) {
                 if let ReqSource::Warp { warp, .. } = req.source {
                     sm.fill_l1(req.line_addr, false);
                     waiting.push((warp, c + 50));
@@ -679,7 +755,7 @@ mod tests {
     fn cta_fills_whole_warp_groups() {
         let (mut sm, mut l2_tlb, spec, cfg) = setup();
         let mut xl = LocalXl;
-        sm.step(Cycle(0), 0, &spec, &cfg, &mut xl, &mut l2_tlb);
+        sm.step(Cycle(0), 0, &spec, &cfg, &mut xl, &mut l2_tlb, |_| false);
         assert!(!sm.is_idle());
     }
 }

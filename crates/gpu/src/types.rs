@@ -105,6 +105,14 @@ pub trait Translator {
 pub trait Fabric {
     /// Whether `src` may currently send a message toward `dst`.
     fn can_send(&self, src: NodeId, dst: NodeId, now: Cycle) -> bool;
+
+    /// For a pair that [`Fabric::can_send`] refuses at `now`: a lower
+    /// bound on the first cycle at which it may accept again, valid
+    /// until the fabric's routes or rates change. The default, `now + 1`,
+    /// claims nothing.
+    fn send_ready_at(&self, _src: NodeId, _dst: NodeId, now: Cycle) -> Cycle {
+        Cycle(now.0 + 1)
+    }
 }
 
 /// A fabric with unlimited capacity (single-GPU runs, unit tests).

@@ -965,6 +965,15 @@ impl LinkNetwork {
         self.links[self.first_hop(src, dst)].next_free() > Cycle(now.0 + horizon)
     }
 
+    /// The first cycle at which `src → dst` can stop being
+    /// [`LinkNetwork::congested`] under `horizon`, given the first-hop
+    /// backlog now. A link's next free slot only grows, so the pair stays
+    /// congested before this cycle until a route changes.
+    pub fn uncongested_at(&self, src: NodeId, dst: NodeId, horizon: u64) -> Cycle {
+        let free = self.links[self.first_hop(src, dst)].next_free();
+        Cycle(free.0.saturating_sub(horizon))
+    }
+
     /// Sends `bytes` from `src` to `dst` along the static route.
     ///
     /// # Panics
@@ -2064,6 +2073,12 @@ mod tests {
         assert!(net.congested(NodeId::Gpu(0), NodeId::Gpu(1), Cycle(0), 100));
         // The reverse direction injects on its own uplink.
         assert!(!net.congested(NodeId::Gpu(1), NodeId::Gpu(0), Cycle(0), 100));
+        // 1280 cycles of backlog: congestion under a 100-cycle horizon
+        // ends exactly at the reported cycle.
+        let at = net.uncongested_at(NodeId::Gpu(0), NodeId::Gpu(1), 100);
+        assert_eq!(at, Cycle(1180));
+        assert!(net.congested(NodeId::Gpu(0), NodeId::Gpu(1), Cycle(at.0 - 1), 100));
+        assert!(!net.congested(NodeId::Gpu(0), NodeId::Gpu(1), at, 100));
     }
 
     #[test]

@@ -143,6 +143,10 @@ impl Fabric for NetFabric<'_> {
     fn can_send(&self, src: NodeId, dst: NodeId, now: Cycle) -> bool {
         !self.net.congested(src, dst, now, CONGESTION_HORIZON)
     }
+
+    fn send_ready_at(&self, src: NodeId, dst: NodeId, _now: Cycle) -> Cycle {
+        self.net.uncongested_at(src, dst, CONGESTION_HORIZON)
+    }
 }
 
 /// The armed fault schedule and its progress through a run. Hints from
@@ -568,6 +572,13 @@ impl System {
                     }
                 }
             }
+            // Parked L2 banks assume an unchanged route and no freeze: settle
+            // them and let each attempt again now.
+            for g in 0..self.num_gpus {
+                if self.cores[g].release_parked(now) {
+                    self.core_wake[g] = self.core_wake[g].min(now.0);
+                }
+            }
             // Degradation-window accounting: transitions only ever happen
             // here, at exact fault cycles, identically under both engines.
             match (f.impaired_since, self.net.impaired_link_count() > 0) {
@@ -610,7 +621,10 @@ impl System {
         if let Some(t0) = self.issue_time[gpu].remove(tag) {
             self.read_latency.record(now.0.saturating_sub(t0));
         }
-        self.cores[gpu].complete_miss(tag, now);
+        if self.cores[gpu].complete_miss(tag, now) {
+            // The fill unparked a bank whose head now hits this cycle.
+            self.core_wake[gpu] = self.core_wake[gpu].min(now.0);
+        }
         self.touch_core(gpu);
     }
 
@@ -1300,10 +1314,11 @@ impl System {
         // `next_event` is `now + 1`), so it ticks and is dirty then too.
         // Home-side external reads that completed in the cores, drained
         // through a reused scratch buffer (the heap is order-insensitive).
-        for g in 0..self.num_gpus {
-            if self.core_dirty & (1 << g) != 0 {
-                self.cores[g].drain_external_done_into(&mut self.ext_done_scratch);
-            }
+        let mut dirty = self.core_dirty;
+        while dirty != 0 {
+            let g = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            self.cores[g].drain_external_done_into(&mut self.ext_done_scratch);
         }
         for &(token, at) in &self.ext_done_scratch {
             self.delayed.push(Reverse((at.0, token)));
@@ -1311,10 +1326,10 @@ impl System {
         self.ext_done_scratch.clear();
         // Drain outboxes with head-of-line back-pressure. The dirty mask is
         // re-read per core: routing may hand a later core a fill.
-        for g in 0..self.num_gpus {
-            if self.core_dirty & (1 << g) == 0 {
-                continue;
-            }
+        let mut from = 0u32;
+        while let Some(rest) = self.core_dirty.checked_shr(from).filter(|&r| r != 0) {
+            let g = (from + rest.trailing_zeros()) as usize;
+            from = g as u32 + 1;
             while let Some(&req) = self.cores[g].outbox_front() {
                 if self.try_route(g, req, now) {
                     self.cores[g].outbox_pop();
@@ -1597,8 +1612,10 @@ struct GpuCum {
 ///
 /// Correct under event skipping: [`Sampler::advance_to`] runs before the
 /// tick at `now`, and every cycle between the previous tick and `now` was
-/// provably quiescent, so cumulative counters at each crossed boundary
-/// equal the counters observed now.
+/// provably quiescent but for parked L2 banks' skipped probes, so
+/// cumulative counters at each crossed boundary equal the counters
+/// observed now with those probes credited up to the boundary
+/// ([`GpuCore::stats_before`]).
 struct Sampler {
     interval: u64,
     next_at: u64,
@@ -1618,7 +1635,9 @@ impl Sampler {
         }
     }
 
-    fn cum_of(sys: &System, g: usize) -> GpuCum {
+    /// GPU `g`'s counters as stepping reads them just before the tick at
+    /// `end`.
+    fn cum_of(sys: &System, g: usize, end: u64) -> GpuCum {
         let (rdc_hits, rdc_misses, rdc_insertions, rdc_invalidations) = match &sys.carve {
             Some(c) => {
                 let s = c.rdc(g).stats();
@@ -1632,7 +1651,7 @@ impl Sampler {
             None => (0, 0, 0, 0),
         };
         GpuCum {
-            core: sys.cores[g].stats(),
+            core: sys.cores[g].stats_before(Cycle(end)),
             dram: sys.drams[g].stats(),
             link_bytes: sys.net.gpu_outbound_bytes(g),
             rdc_hits,
@@ -1646,7 +1665,7 @@ impl Sampler {
     /// the cumulative baseline forward.
     fn emit(&mut self, sys: &System, start: u64, end: u64) {
         for g in 0..sys.num_gpus {
-            let cum = Self::cum_of(sys, g);
+            let cum = Self::cum_of(sys, g, end);
             let prev = self.prev[g];
             let snap = sys.cores[g].snapshot();
             self.timeline.records.push(IntervalRecord {
@@ -1693,7 +1712,7 @@ impl Sampler {
     /// cycle, so per-interval instruction counts sum to the run total
     /// exactly.
     fn finish(mut self, sys: &System, end_cycle: u64) -> Timeline {
-        let residual = (0..sys.num_gpus).any(|g| Self::cum_of(sys, g) != self.prev[g]);
+        let residual = (0..sys.num_gpus).any(|g| Self::cum_of(sys, g, end_cycle) != self.prev[g]);
         if end_cycle > self.last_boundary || residual {
             let start = self.last_boundary;
             self.emit(sys, start, end_cycle);

@@ -191,3 +191,20 @@ fn representative_step_engine_matches_golden() {
         encode(&representative_points(), EngineMode::Step),
     );
 }
+
+/// The full Table II shape of SSSP under NUMA-GPU+Migrate, where remote
+/// misses back up on the links and a page migrating home can fill the
+/// line a parked L2 bank waits on (DESIGN.md §3, "Back-pressure
+/// parking"): both engines must write the same journal line. Too slow for
+/// debug builds; CI runs it in release with `--include-ignored`.
+#[test]
+#[ignore = "full-shape point: run in release with --include-ignored"]
+fn full_shape_sssp_migrate_engines_agree() {
+    let spec = workloads::by_name("SSSP").expect("known workload");
+    let mut sim = SimConfig::new(Design::NumaGpuMigrate);
+    sim.telemetry_interval = Some(0);
+    let skip = run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip);
+    let step = run_with_profile_mode(&spec, &sim, None, EngineMode::Step);
+    assert!(skip.completed && step.completed, "hit the cycle cap");
+    assert_eq!(skip.encode_journal_line(), step.encode_journal_line());
+}

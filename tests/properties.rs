@@ -324,7 +324,11 @@ fn quick_sim(design: Design) -> SimConfig {
 /// machine has no links, CARVE-SWC flushes the RDC at every kernel
 /// boundary, 16 GPUs on 4-GPU pods forward every remote message across
 /// switches into a 16-sharer directory, and the fault plan degrades and
-/// restores a link, fails DRAM reads and freezes the machine.
+/// restores a link, fails DRAM reads and freezes the machine. On a link
+/// cut to a sixteenth of its bandwidth, remote misses back up past the
+/// congestion horizon and L2 banks park (DESIGN.md §3, "Back-pressure
+/// parking"): those points sample telemetry while banks are parked, and
+/// one lands a fault plan on parked banks.
 #[test]
 fn event_skipping_engine_matches_stepping_engine() {
     let mut points = Vec::new();
@@ -363,6 +367,27 @@ fn event_skipping_engine_matches_stepping_engine() {
         faulted,
     ));
 
+    let congested = |design: Design| {
+        let mut sim = quick_sim(design);
+        sim.cfg.link_bytes_per_cycle /= 16.0;
+        sim.directory_coherence = design == Design::CarveHwc;
+        sim.telemetry_interval = Some(500);
+        sim
+    };
+    for design in [Design::NumaGpuMigrate, Design::CarveHwc] {
+        let sim = congested(design);
+        let ctx = format!("SSSP on a congested link under {}", design.label());
+        points.push((ctx, quick_spec("SSSP"), sim));
+    }
+    let plan = "freeze@6500+500,degrade@9000:e0*50,restore@13000:e0";
+    let mut parked_faults = congested(Design::NumaGpuMigrate);
+    parked_faults.fault_plan = Some(FaultPlan::parse(plan).expect("valid plan"));
+    points.push((
+        format!("SSSP on a congested link with faults {plan}"),
+        quick_spec("SSSP"),
+        parked_faults,
+    ));
+
     for (ctx, spec, sim) in &points {
         let skip = run_with_profile_mode(spec, sim, None, EngineMode::EventSkip);
         let step = run_with_profile_mode(spec, sim, None, EngineMode::Step);
@@ -372,9 +397,14 @@ fn event_skipping_engine_matches_stepping_engine() {
             step.encode_journal_line(),
             "{ctx}: engines diverge"
         );
-        if sim.fault_plan.is_some() {
+        assert_eq!(skip.timeline, step.timeline, "{ctx}: timelines diverge");
+        if let Some(plan) = &sim.fault_plan {
             let applied = skip.recovery.map(|r| r.faults_applied);
-            assert_eq!(applied, Some(4), "{ctx}: every fault must fire in-run");
+            assert_eq!(
+                applied,
+                Some(plan.len() as u64),
+                "{ctx}: every fault must fire in-run"
+            );
         }
     }
 }
