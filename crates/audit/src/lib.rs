@@ -35,6 +35,11 @@
 //!   cannot reach the result. The argument sits on the call's line, the
 //!   line before it, or earlier in an enclosing block (it then covers the
 //!   rest of that block).
+//! * [`env-read`] — library code must not read or write process state
+//!   through `std::env::{var, var_os, vars, args, set_var, remove_var}`
+//!   (or their `_os` twins): configuration is resolved once in a binary's
+//!   `main` (`src/bin/*`, `main.rs`) and passed in, so no environment
+//!   variable can silently change a run. Test modules are exempt.
 //! * [`stale-allow`] — an allow-comment that suppresses nothing.
 //!
 //! Any finding can be suppressed in place with an allow-comment on the
@@ -56,6 +61,7 @@
 //! [`lossy-cast`]: Rule::LossyCast
 //! [`equivalence-doc`]: Rule::EquivalenceDoc
 //! [`order-sensitive-iteration`]: Rule::OrderSensitiveIteration
+//! [`env-read`]: Rule::EnvRead
 //! [`stale-allow`]: Rule::StaleAllow
 //! [`Cycle`]: https://docs.rs/ (sim-core::Cycle)
 
@@ -87,6 +93,8 @@ pub enum Rule {
     /// `for_each`/`values` iteration over an order-carrying container
     /// with writes in its body and no `// determinism:` argument.
     OrderSensitiveIteration,
+    /// `std::env` process-state access in library code.
+    EnvRead,
     /// An `audit:allow(...)` comment that no longer suppresses any
     /// finding.
     StaleAllow,
@@ -102,12 +110,13 @@ impl Rule {
             Rule::LossyCast => "lossy-cast",
             Rule::EquivalenceDoc => "equivalence-doc",
             Rule::OrderSensitiveIteration => "order-sensitive-iteration",
+            Rule::EnvRead => "env-read",
             Rule::StaleAllow => "stale-allow",
         }
     }
 
     /// All rules, for `--list` style output.
-    pub fn all() -> [Rule; 7] {
+    pub fn all() -> [Rule; 8] {
         [
             Rule::TickPathCollections,
             Rule::WallClock,
@@ -115,6 +124,7 @@ impl Rule {
             Rule::LossyCast,
             Rule::EquivalenceDoc,
             Rule::OrderSensitiveIteration,
+            Rule::EnvRead,
             Rule::StaleAllow,
         ]
     }
@@ -169,6 +179,46 @@ fn is_journal_feeding(rel: &str) -> bool {
     JOURNAL_FEEDING_CRATES
         .iter()
         .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+}
+
+/// Whether `rel` is library source: under a crate's `src/` but outside
+/// the binary edges (`src/bin/`, `main.rs`) where configuration is read.
+fn is_library_source(rel: &str) -> bool {
+    rel.starts_with("crates/")
+        && rel.contains("/src/")
+        && !rel.contains("/src/bin/")
+        && !rel.ends_with("/main.rs")
+}
+
+/// `std::env` functions that read or write process state.
+const ENV_FNS: [&str; 8] = [
+    "var",
+    "var_os",
+    "vars",
+    "vars_os",
+    "args",
+    "args_os",
+    "set_var",
+    "remove_var",
+];
+
+/// The process-state `env::` function `code` names, if any.
+fn env_access(code: &str) -> Option<&'static str> {
+    let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut from = 0;
+    while let Some(pos) = code[from..].find("env::") {
+        let at = from + pos;
+        from = at + "env::".len();
+        if at > 0 && ident(code.as_bytes()[at - 1]) {
+            continue;
+        }
+        let rest = &code[from..];
+        let name = &rest[..rest.bytes().position(|b| !ident(b)).unwrap_or(rest.len())];
+        if let Some(f) = ENV_FNS.iter().find(|f| **f == name) {
+            return Some(f);
+        }
+    }
+    None
 }
 
 /// Splits a source line into (code, comment) at the first `//` that is
@@ -368,7 +418,8 @@ pub fn scan_file(rel: &str, content: &str) -> Vec<Diagnostic> {
 pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
     let tick_path = is_tick_path(rel);
     let journal_feeding = is_journal_feeding(rel);
-    if !tick_path && !journal_feeding {
+    let library = is_library_source(rel);
+    if !tick_path && !journal_feeding && !library {
         return FileScan::default();
     }
 
@@ -418,8 +469,10 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
         }
 
         // Record well-formed allow-comments outside test modules so
-        // `stale-allow` can later flag the ones nothing uses.
-        if let Some((rule, reason)) = parse_allow(comment) {
+        // `stale-allow` can later flag the ones nothing uses. Doc
+        // comments (`///`, `//!`) only describe the syntax.
+        let doc = comment.starts_with("///") || comment.starts_with("//!");
+        if let Some((rule, reason)) = parse_allow(comment).filter(|_| !doc) {
             if !reason.is_empty() {
                 out.allow_sites.push(AllowSite {
                     line: line_no,
@@ -546,6 +599,23 @@ pub fn scan_file_tracked(rel: &str, content: &str) -> FileScan {
                             .to_string(),
                     }),
                 }
+            }
+        }
+
+        if let Some(f) = env_access(code).filter(|_| library) {
+            match allowed(Rule::EnvRead, comment, line_no, &prev_line, prev_no) {
+                Some(l) => {
+                    out.used_allows.insert(l);
+                }
+                None => diags.push(Diagnostic {
+                    file: rel.to_string(),
+                    line: line_no,
+                    rule: Rule::EnvRead,
+                    message: format!(
+                        "`env::{f}` in library code; resolve configuration once in \
+                         the binary's `main` (`src/bin/*`, `main.rs`) and pass it in"
+                    ),
+                }),
             }
         }
 
@@ -987,6 +1057,26 @@ mod tests {
     }
 
     #[test]
+    fn env_access_is_flagged_only_in_library_code() {
+        let src = "use std::env;\nfn f() -> Vec<String> { env::args().collect() }\n\
+                   fn g() { std::env::set_var(\"K\", \"1\"); }\n\
+                   fn h() -> std::path::PathBuf { std::env::temp_dir() }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    fn t() { std::env::var(\"K\").ok(); }\n}\n";
+        let lib = scan_file("crates/bench/src/lib.rs", src);
+        assert_eq!(rules_of(&lib), ["env-read", "env-read"]);
+        assert_eq!((lib[0].line, lib[1].line), (2, 3));
+        for edge in [
+            "crates/bench/src/main.rs",
+            "crates/experiments/src/bin/fig02.rs",
+        ] {
+            assert!(scan_file(edge, src).is_empty(), "{edge}");
+        }
+        assert_eq!(env_access("let v = myenv::var(x);"), None);
+        assert_eq!(env_access("std::env::var_os(k)"), Some("var_os"));
+    }
+
+    #[test]
     fn panics_flagged_only_outside_test_modules() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
                    #[cfg(test)]\n\
@@ -1158,6 +1248,10 @@ mod tests {
             Rule::TickPathPanics => (TICK, "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n"),
             Rule::LossyCast => (TICK, "fn f(now: u64) -> u32 { now as u32 }\n"),
             Rule::EquivalenceDoc => (TICK, "struct Ch { min_finish: u64 }\n"),
+            Rule::EnvRead => (
+                "crates/experiments/src/lib.rs",
+                "fn quick() -> bool { std::env::var_os(\"CARVE_QUICK\").is_some() }\n",
+            ),
             Rule::OrderSensitiveIteration => {
                 let allow = "// audit:allow(order-sensitive-iteration) summation commutes";
                 let call = "        self.pending";

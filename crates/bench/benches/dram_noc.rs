@@ -76,5 +76,5 @@ fn bench_noc(c: &mut Runner) {
 }
 
 fn main() {
-    run_benches(&[bench_dram, bench_noc]);
+    run_benches(std::env::args().skip(1), &[bench_dram, bench_noc]);
 }

@@ -58,5 +58,5 @@ fn bench_profiling(c: &mut Runner) {
 }
 
 fn main() {
-    run_benches(&[bench_designs, bench_profiling]);
+    run_benches(std::env::args().skip(1), &[bench_designs, bench_profiling]);
 }

@@ -90,5 +90,8 @@ fn bench_mshr(c: &mut Runner) {
 }
 
 fn main() {
-    run_benches(&[bench_sram, bench_alloy_rdc, bench_coherence, bench_mshr]);
+    run_benches(
+        std::env::args().skip(1),
+        &[bench_sram, bench_alloy_rdc, bench_coherence, bench_mshr],
+    );
 }

@@ -47,5 +47,5 @@ fn bench_profile(c: &mut Runner) {
 }
 
 fn main() {
-    run_benches(&[bench_tracegen, bench_profile]);
+    run_benches(std::env::args().skip(1), &[bench_tracegen, bench_profile]);
 }

@@ -102,12 +102,12 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Builds a runner from `std::env::args`; the first non-flag argument
-    /// is a substring filter on benchmark names. The `--bench` flag cargo
-    /// passes is ignored.
-    pub fn from_args() -> Self {
-        let filter = std::env::args()
-            .skip(1)
+    /// Builds a runner from the command line after the program name; the
+    /// first non-flag argument is a substring filter on benchmark names.
+    /// The `--bench` flag cargo passes is ignored.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let filter = args
+            .into_iter()
             .find(|a| !a.starts_with('-'))
             .filter(|a| !a.is_empty());
         Runner { filter }
@@ -152,10 +152,10 @@ impl Runner {
     }
 }
 
-/// Runs a list of registration functions under a fresh [`Runner`]; the
-/// entry point every bench binary calls from `main`.
-pub fn run_benches(benches: &[fn(&mut Runner)]) {
-    let mut r = Runner::from_args();
+/// Runs a list of registration functions under a fresh [`Runner`] built
+/// from `args`; the entry point every bench binary calls from `main`.
+pub fn run_benches(args: impl IntoIterator<Item = String>, benches: &[fn(&mut Runner)]) {
+    let mut r = Runner::from_args(args);
     for bench in benches {
         bench(&mut r);
     }

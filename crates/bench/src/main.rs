@@ -35,8 +35,8 @@ use carve::imst::Imst;
 use carve_cache::mshr::MshrFile;
 use carve_gpu::Tlb;
 use carve_runtime::page_table::{PageTable, PlacementPolicy};
-use carve_system::{Design, EngineMode, SimConfig};
-use experiments::{par, Campaign};
+use carve_system::{Design, SimConfig};
+use experiments::{Campaign, Settings};
 use sim_core::Cycle;
 
 /// The fig02 design columns (ideal bound + three software mechanisms +
@@ -69,7 +69,10 @@ struct Rep {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("hotpath") => hotpath(&args[1..]),
+        Some("hotpath") => {
+            let env = Settings::resolve(|key| std::env::var_os(key), std::iter::empty::<&str>());
+            hotpath(&args[1..], env)
+        }
         Some("check") => check(&args[1..]),
         _ => {
             eprintln!(
@@ -122,7 +125,9 @@ fn parse_hotpath_args(args: &[String]) -> Result<HotpathArgs, String> {
     Ok(out)
 }
 
-fn hotpath(raw: &[String]) -> i32 {
+/// Runs `hotpath` under the campaign settings `env` resolved from the
+/// environment (threads, retries, engine, `CARVE_QUICK`).
+fn hotpath(raw: &[String], env: Settings) -> i32 {
     let args = match parse_hotpath_args(raw) {
         Ok(a) => a,
         Err(e) => {
@@ -130,12 +135,13 @@ fn hotpath(raw: &[String]) -> i32 {
             return 2;
         }
     };
-    if args.quick {
-        std::env::set_var("CARVE_QUICK", "1");
-    }
     // Telemetry must stay off for throughput numbers; the per-point
-    // configs also pin it off below, this guards Campaign defaults.
-    std::env::remove_var("CARVE_TELEMETRY_INTERVAL");
+    // configs also pin it off below.
+    let settings = Settings {
+        quick: env.quick || args.quick,
+        telemetry_interval: None,
+        ..env
+    };
 
     let mut reps: Vec<Rep> = Vec::new();
     for path in &args.merge {
@@ -148,7 +154,7 @@ fn hotpath(raw: &[String]) -> i32 {
         }
     }
     for rep in 0..args.reps {
-        let r = run_grid_once();
+        let r = run_grid_once(&settings);
         eprintln!(
             "rep {}/{}: {} Mcyc in {:.2}s = {:.2} Mcyc/s",
             rep + 1,
@@ -162,7 +168,7 @@ fn hotpath(raw: &[String]) -> i32 {
     let grid_mcyc = median(reps.iter().map(|r| r.mcyc_per_s));
 
     if args.measure_only {
-        if let Err(e) = write_measure_json(&args.out, args.quick, &reps) {
+        if let Err(e) = write_measure_json(&args.out, &settings, &reps) {
             eprintln!("carve-bench: write {}: {e}", args.out);
             return 1;
         }
@@ -173,7 +179,7 @@ fn hotpath(raw: &[String]) -> i32 {
     let components = if args.skip_components {
         Vec::new()
     } else {
-        run_component_benches(args.quick)
+        run_component_benches(settings.quick)
     };
 
     let mut baseline_reps: Vec<Rep> = Vec::new();
@@ -191,7 +197,7 @@ fn hotpath(raw: &[String]) -> i32 {
 
     if let Err(e) = write_hotpath_json(
         &args.out,
-        args.quick,
+        &settings,
         &reps,
         grid_mcyc,
         &components,
@@ -217,8 +223,8 @@ fn hotpath(raw: &[String]) -> i32 {
 
 /// One full pass over the fig02 grid with a fresh (memoization-free)
 /// campaign; returns simulated-cycles-per-wall-second.
-fn run_grid_once() -> Rep {
-    let mut c = Campaign::new();
+fn run_grid_once(settings: &Settings) -> Rep {
+    let mut c = Campaign::new(settings.clone());
     let mut points: Vec<(carve_trace::WorkloadSpec, SimConfig)> = Vec::new();
     for spec in c.specs() {
         for design in FIG02_DESIGNS {
@@ -349,13 +355,13 @@ fn median<I: Iterator<Item = f64>>(xs: I) -> f64 {
 // ---------------------------------------------------------------------
 // JSON (hand-rolled — the workspace vendors no serialization crates).
 
-fn write_measure_json(path: &str, quick: bool, reps: &[Rep]) -> std::io::Result<()> {
+fn write_measure_json(path: &str, settings: &Settings, reps: &[Rep]) -> std::io::Result<()> {
     use std::io::Write;
     let mut out = std::fs::File::create(path)?;
     writeln!(out, "{{")?;
     writeln!(out, "  \"schema\": \"carve-bench-measure-v1\",")?;
-    writeln!(out, "  \"quick\": {quick},")?;
-    writeln!(out, "  \"threads\": {},", par::thread_count())?;
+    writeln!(out, "  \"quick\": {},", settings.quick)?;
+    writeln!(out, "  \"threads\": {},", settings.threads)?;
     write_reps(&mut out, reps, "  ")?;
     writeln!(out, "}}")?;
     Ok(())
@@ -378,7 +384,7 @@ fn write_reps<W: std::io::Write>(out: &mut W, reps: &[Rep], indent: &str) -> std
 #[allow(clippy::too_many_arguments)]
 fn write_hotpath_json(
     path: &str,
-    quick: bool,
+    settings: &Settings,
     reps: &[Rep],
     grid_mcyc: f64,
     components: &[(&'static str, f64)],
@@ -386,13 +392,13 @@ fn write_hotpath_json(
     baseline_mcyc: Option<f64>,
 ) -> std::io::Result<()> {
     use std::io::Write;
-    let engine = EngineMode::from_env().label();
+    let engine = settings.sim.engine.label();
     let mut out = std::fs::File::create(path)?;
     writeln!(out, "{{")?;
     writeln!(out, "  \"schema\": \"carve-bench-hotpath-v1\",")?;
     writeln!(out, "  \"engine\": \"{engine}\",")?;
-    writeln!(out, "  \"threads\": {},", par::thread_count())?;
-    writeln!(out, "  \"quick\": {quick},")?;
+    writeln!(out, "  \"threads\": {},", settings.threads)?;
+    writeln!(out, "  \"quick\": {},", settings.quick)?;
     writeln!(out, "  \"grid_points\": {},", 5 * 20)?;
     writeln!(out, "  \"grid_mcyc_per_s\": {grid_mcyc:.4},")?;
     writeln!(out, "  \"grid\": {{")?;

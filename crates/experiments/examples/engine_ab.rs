@@ -8,7 +8,9 @@
 //! Defaults to Lulesh under CARVE-HWC. Asserts that both engines produce
 //! identical counters before reporting the speedup.
 
-use carve_system::{run_with_profile_mode, workloads, Design, EngineMode, ScaledConfig, SimConfig};
+use carve_system::{
+    try_run_with_profile_mode, workloads, Design, EngineMode, ScaledConfig, SimConfig,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,10 +31,12 @@ fn main() {
     let sim = SimConfig::with_cfg(design, ScaledConfig::default());
 
     let t0 = std::time::Instant::now();
-    let skip = run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip);
+    let skip = try_run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip)
+        .expect("event-skip run");
     let skip_s = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
-    let step = run_with_profile_mode(&spec, &sim, None, EngineMode::Step);
+    let step =
+        try_run_with_profile_mode(&spec, &sim, None, EngineMode::Step).expect("stepping run");
     let step_s = t1.elapsed().as_secs_f64();
 
     assert_eq!(skip.cycles, step.cycles, "engines disagree on cycles");

@@ -10,7 +10,7 @@
 use carve::WritePolicy;
 use carve_system::{Design, SimConfig};
 use carve_trace::WorkloadSpec;
-use experiments::{Campaign, Table};
+use experiments::{Campaign, Settings, Table};
 use sim_core::geomean;
 
 /// Fans every ablation point across worker threads before the tables
@@ -57,16 +57,15 @@ fn prefetch(c: &mut Campaign) {
 }
 
 fn main() {
-    let mut c = Campaign::with_journal("ablations");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    let mut c = Campaign::with_journal("ablations", settings);
     prefetch(&mut c);
-    write_policy_ablation(&mut c).emit();
-    imst_ablation(&mut c).emit();
-    directory_ablation(&mut c).emit();
-    predictor_ablation(&mut c).emit();
-    sysmem_rdc_ablation(&mut c).emit();
-    launch_overhead_ablation(&mut c).emit();
+    write_policy_ablation(&mut c).emit(c.results_dir());
+    imst_ablation(&mut c).emit(c.results_dir());
+    directory_ablation(&mut c).emit(c.results_dir());
+    predictor_ablation(&mut c).emit(c.results_dir());
+    sysmem_rdc_ablation(&mut c).emit(c.results_dir());
+    launch_overhead_ablation(&mut c).emit(c.results_dir());
     eprintln!("({} simulation runs)", c.cached_runs());
     c.report_timeline("ablations");
     c.report_profile("ablations");

@@ -11,7 +11,7 @@
 
 use carve_system::{Design, SimConfig};
 use carve_trace::WorkloadSpec;
-use experiments::{figures, Campaign};
+use experiments::{figures, Campaign, Settings};
 
 /// Every campaign point the figure functions will request, so the parallel
 /// prefetch covers the whole matrix and the figures only read the cache.
@@ -55,14 +55,13 @@ fn prefetch_points(c: &Campaign) -> Vec<(WorkloadSpec, SimConfig)> {
 }
 
 fn main() {
-    let bench_json = std::env::args().skip(1).any(|a| a == "--bench-json");
-    let t0 = std::time::Instant::now();
-    let mut c = Campaign::with_journal("all-figures");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
-    if c.is_quick() {
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    let bench_json = settings.bench_json;
+    if settings.quick {
         eprintln!("CARVE_QUICK set: running shrunken workloads");
     }
+    let t0 = std::time::Instant::now();
+    let mut c = Campaign::with_journal("all-figures", settings);
     let points = prefetch_points(&c);
     c.run_parallel(&points);
     eprintln!(
@@ -70,18 +69,18 @@ fn main() {
         c.cached_runs(),
         t0.elapsed().as_secs_f64()
     );
-    figures::table4().emit();
-    figures::fig04(&mut c).emit();
-    figures::fig05(&mut c).emit();
-    figures::fig02(&mut c).emit();
-    figures::fig08(&mut c).emit();
-    figures::fig09(&mut c).emit();
-    figures::fig11(&mut c).emit();
-    figures::fig13(&mut c).emit();
-    figures::table5(&mut c).emit();
-    figures::fig14(&mut c).emit();
+    figures::table4().emit(c.results_dir());
+    figures::fig04(&mut c).emit(c.results_dir());
+    figures::fig05(&mut c).emit(c.results_dir());
+    figures::fig02(&mut c).emit(c.results_dir());
+    figures::fig08(&mut c).emit(c.results_dir());
+    figures::fig09(&mut c).emit(c.results_dir());
+    figures::fig11(&mut c).emit(c.results_dir());
+    figures::fig13(&mut c).emit(c.results_dir());
+    figures::table5(&mut c).emit(c.results_dir());
+    figures::fig14(&mut c).emit(c.results_dir());
     if bench_json {
-        let path = experiments::results_dir().join("BENCH_engine.json");
+        let path = c.results_dir().join("BENCH_engine.json");
         c.write_bench_json(&path).expect("write BENCH_engine.json");
         eprintln!("wrote {}", path.display());
     }

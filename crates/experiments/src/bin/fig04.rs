@@ -1,12 +1,7 @@
 //! Regenerates the paper's fig04.
-use experiments::{figures, Campaign};
+use experiments::{figure_main, figures, Settings};
 
 fn main() {
-    let mut c = Campaign::with_journal("fig04");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
-    figures::fig04(&mut c).emit();
-    eprintln!("({} simulation runs)", c.cached_runs());
-    c.report_timeline("fig04");
-    c.report_profile("fig04");
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    figure_main("fig04", settings, figures::fig04);
 }

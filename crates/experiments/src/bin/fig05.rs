@@ -1,12 +1,7 @@
 //! Regenerates the paper's fig05.
-use experiments::{figures, Campaign};
+use experiments::{figure_main, figures, Settings};
 
 fn main() {
-    let mut c = Campaign::with_journal("fig05");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
-    figures::fig05(&mut c).emit();
-    eprintln!("({} simulation runs)", c.cached_runs());
-    c.report_timeline("fig05");
-    c.report_profile("fig05");
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    figure_main("fig05", settings, figures::fig05);
 }

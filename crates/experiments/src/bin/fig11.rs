@@ -1,12 +1,7 @@
 //! Regenerates the paper's fig11.
-use experiments::{figures, Campaign};
+use experiments::{figure_main, figures, Settings};
 
 fn main() {
-    let mut c = Campaign::with_journal("fig11");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
-    figures::fig11(&mut c).emit();
-    eprintln!("({} simulation runs)", c.cached_runs());
-    c.report_timeline("fig11");
-    c.report_profile("fig11");
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    figure_main("fig11", settings, figures::fig11);
 }

@@ -20,7 +20,7 @@
 
 use carve_system::{Design, FaultPlan, SimConfig};
 use carve_trace::WorkloadSpec;
-use experiments::{Campaign, Table};
+use experiments::{Campaign, Settings, Table};
 use sim_core::geomean;
 use sim_core::rng::Stream;
 
@@ -79,15 +79,14 @@ fn points(c: &mut Campaign) -> Vec<(WorkloadSpec, SimConfig)> {
 }
 
 fn main() {
-    let mut c = Campaign::with_journal("resilience");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    let mut c = Campaign::with_journal("resilience", settings);
     // Fan the grid out first; partitioned cells are legitimate outcomes
     // of the sweep, so the fault-tolerant entry point is the right one.
     let pts = points(&mut c);
     let _ = c.try_run_parallel(&pts);
-    slowdown_table(&mut c).emit();
-    summary_table(&mut c).emit();
+    slowdown_table(&mut c).emit(c.results_dir());
+    summary_table(&mut c).emit(c.results_dir());
     eprintln!("({} simulation runs)", c.cached_runs());
     for f in c.failures() {
         if !f.error.contains("partitioned") {

@@ -15,7 +15,7 @@
 
 use carve_system::{Design, ScaledConfig, SimConfig, TopologySpec};
 use carve_trace::WorkloadSpec;
-use experiments::{Campaign, Table};
+use experiments::{Campaign, Settings, Table};
 use sim_core::geomean;
 
 /// The GPU-count axis. 4 is the paper's machine; 64 is the routed
@@ -114,13 +114,12 @@ fn prefetch(c: &mut Campaign) {
 }
 
 fn main() {
-    let mut c = Campaign::with_journal("scaling");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    let mut c = Campaign::with_journal("scaling", settings);
     prefetch(&mut c);
-    speedup_scaling(&mut c).emit();
-    rdc_sizing(&mut c).emit();
-    coherence_scaling(&mut c).emit();
+    speedup_scaling(&mut c).emit(c.results_dir());
+    rdc_sizing(&mut c).emit(c.results_dir());
+    coherence_scaling(&mut c).emit(c.results_dir());
     eprintln!("({} simulation runs)", c.cached_runs());
     c.report_timeline("scaling");
     c.report_profile("scaling");

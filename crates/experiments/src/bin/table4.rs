@@ -1,6 +1,7 @@
 //! Regenerates the paper's Table IV (analytic; no simulation needed).
-use experiments::figures;
+use experiments::{figures, Settings};
 
 fn main() {
-    figures::table4().emit();
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    figures::table4().emit(&settings.results_dir);
 }

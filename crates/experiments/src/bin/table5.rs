@@ -1,12 +1,7 @@
 //! Regenerates the paper's table5.
-use experiments::{figures, Campaign};
+use experiments::{figure_main, figures, Settings};
 
 fn main() {
-    let mut c = Campaign::with_journal("table5");
-    c.enable_timeline_from_args();
-    c.enable_profile_from_args();
-    figures::table5(&mut c).emit();
-    eprintln!("({} simulation runs)", c.cached_runs());
-    c.report_timeline("table5");
-    c.report_profile("table5");
+    let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
+    figure_main("table5", settings, figures::table5);
 }

@@ -20,7 +20,6 @@
 //! parsed truncation-tolerantly — a partially written trailing line is
 //! dropped with a warning — and rewritten clean before appending resumes.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,16 +28,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use carve_system::{
-    profile_workload, try_run_with_profile, Design, EngineMode, ProfileReport, ScaledConfig,
+    profile_workload, try_run_with_profile_mode, Design, ProfileReport, ScaledConfig,
     SharingProfile, SimConfig, SimError, SimResult, Timeline,
 };
 use carve_trace::{workloads, WorkloadSpec};
 
 use crate::par;
-
-/// Sampling interval used by [`Campaign::enable_timeline`] when
-/// `CARVE_TELEMETRY_INTERVAL` is unset.
-const DEFAULT_TIMELINE_INTERVAL: u64 = 5_000;
+use crate::settings::Settings;
 
 /// Wall-clock record for one simulated campaign point.
 #[derive(Debug, Clone)]
@@ -197,25 +193,18 @@ pub struct Campaign {
     failed: HashMap<(String, String), PointFailure>,
     timings: Vec<PointTiming>,
     base_cfg: ScaledConfig,
-    quick: bool,
-    retries: usize,
+    /// The binary's resolved configuration. Its per-run knobs (telemetry,
+    /// profiler, sanitizer, watchdog) are deliberately absent from
+    /// [`key_of`]: they are read-only or only decide whether a run
+    /// fails, so they must not split the cache or the journal.
+    settings: Settings,
     journal: Option<Journal>,
-    /// When set, every subsequently *simulated* point samples interval
-    /// telemetry at this many cycles. Deliberately absent from
-    /// [`key_of`]: sampling is read-only and cannot change a result, so
-    /// it must not split the cache or the journal.
-    telemetry_interval: Option<u64>,
     /// Timelines collected this process, in point-commit order (which is
     /// the deduplicated input order of the grids — deterministic across
     /// `CARVE_THREADS`). Journal-resumed and cache-hit points contribute
     /// nothing here: only points actually simulated this run carry a
     /// timeline.
     timelines: Vec<(String, String, Timeline)>,
-    /// When true, every subsequently *simulated* point runs with the
-    /// cycle-accounting profiler on. Absent from [`key_of`] for the same
-    /// reason as the telemetry interval: profiling is read-only and
-    /// cannot change a result.
-    cycle_profile: bool,
     /// Stall breakdowns collected this process, in point-commit order
     /// (same determinism contract as `timelines`).
     stall_profiles: Vec<(String, String, ProfileReport)>,
@@ -266,10 +255,11 @@ fn jitter_seed(key: &(String, String)) -> u64 {
     h
 }
 
-/// One run attempt cycle: `try_run_with_profile` under `catch_unwind`,
-/// retried up to `retries` more times with deterministic exponential
-/// backoff ([`par::backoff_delay`] seeded by the point key). Returns the
-/// result and its wall-clock, or (attempts made, last error).
+/// One run attempt cycle: `try_run_with_profile_mode` on the settings'
+/// engine under `catch_unwind`, retried up to `settings.retries` more
+/// times with deterministic exponential backoff ([`par::backoff_delay`]
+/// seeded by the point key). Returns the result and its wall-clock, or
+/// (attempts made, last error).
 ///
 /// Failures are classified before retrying: panics and *transient*
 /// `SimError`s (watchdog stalls, checkpoint IO) are worth another
@@ -281,19 +271,19 @@ fn attempt_point(
     spec: &WorkloadSpec,
     sim: &SimConfig,
     profile: &SharingProfile,
-    retries: usize,
+    settings: &Settings,
     seed: u64,
 ) -> Result<(SimResult, f64), (usize, String)> {
     let mut last = String::new();
     let mut attempts = 0;
-    for attempt in 0..=retries {
+    for attempt in 0..=settings.retries {
         attempts += 1;
         if attempt > 0 {
             std::thread::sleep(par::backoff_delay(attempt - 1, seed));
         }
         let started = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| {
-            try_run_with_profile(spec, sim, Some(profile))
+            try_run_with_profile_mode(spec, sim, Some(profile), settings.sim.engine)
         })) {
             Ok(Ok(r)) => return Ok((r, started.elapsed().as_secs_f64() * 1e3)),
             Ok(Err(e)) => {
@@ -308,19 +298,12 @@ fn attempt_point(
     Err((attempts, last))
 }
 
-impl Default for Campaign {
-    fn default() -> Campaign {
-        Campaign::new()
-    }
-}
-
 impl Campaign {
-    /// Creates a campaign over all 20 workloads; honours `CARVE_QUICK`
-    /// and `CARVE_RETRIES`.
-    pub fn new() -> Campaign {
-        let quick = std::env::var_os("CARVE_QUICK").is_some();
+    /// Creates a campaign over all 20 workloads under `settings`, shrunk
+    /// when `settings.quick` is set.
+    pub fn new(settings: Settings) -> Campaign {
         let mut specs = workloads::all();
-        if quick {
+        if settings.quick {
             for spec in &mut specs {
                 spec.shape.kernels = spec.shape.kernels.min(4);
                 spec.shape.ctas = 32;
@@ -334,12 +317,9 @@ impl Campaign {
             failed: HashMap::new(),
             timings: Vec::new(),
             base_cfg: ScaledConfig::default(),
-            quick,
-            retries: par::retries_from_env(),
+            settings,
             journal: None,
-            telemetry_interval: None,
             timelines: Vec::new(),
-            cycle_profile: false,
             stall_profiles: Vec::new(),
         }
     }
@@ -349,8 +329,8 @@ impl Campaign {
     /// already on disk. A journal that cannot be opened degrades to an
     /// in-memory campaign with a warning — checkpointing is advisory and
     /// must never block the science.
-    pub fn with_journal(name: &str) -> Campaign {
-        let mut c = Campaign::new();
+    pub fn with_journal(name: &str, settings: Settings) -> Campaign {
+        let mut c = Campaign::new(settings);
         match c.set_journal(name) {
             Ok(0) => {}
             Ok(n) => eprintln!(
@@ -362,80 +342,20 @@ impl Campaign {
         c
     }
 
-    /// Whether quick mode is active.
-    pub fn is_quick(&self) -> bool {
-        self.quick
-    }
-
-    /// Overrides the bounded retry count (default: `CARVE_RETRIES`).
-    pub fn set_retries(&mut self, retries: usize) {
-        self.retries = retries;
-    }
-
-    /// Turns on interval telemetry for every point simulated from now on
-    /// (interval from `CARVE_TELEMETRY_INTERVAL`, else 5000 cycles).
-    /// Sampling is read-only, so results, journal lines, and tables are
-    /// bit-identical to a run without it; only points simulated in this
-    /// process carry a timeline (journal-resumed points do not).
-    pub fn enable_timeline(&mut self) {
-        self.telemetry_interval =
-            Some(sim_core::telemetry::interval_from_env().unwrap_or(DEFAULT_TIMELINE_INTERVAL));
-    }
-
-    /// Wires the campaign binaries' `--timeline` CLI flag: enables
-    /// timeline collection iff the flag is present, and reports whether
-    /// it was.
-    pub fn enable_timeline_from_args(&mut self) -> bool {
-        let on = std::env::args().skip(1).any(|a| a == "--timeline");
-        if on {
-            self.enable_timeline();
-        }
-        on
-    }
-
-    /// Sampling interval of an enabled timeline.
-    pub fn timeline_interval(&self) -> Option<u64> {
-        self.telemetry_interval
-    }
-
-    /// Turns on the cycle-accounting profiler for every point simulated
-    /// from now on. Profiling is read-only, so results, journal lines,
-    /// and tables are bit-identical to a run without it; only points
-    /// simulated in this process carry a breakdown (journal-resumed
-    /// points do not).
-    pub fn enable_profile(&mut self) {
-        self.cycle_profile = true;
-    }
-
-    /// Wires the campaign binaries' `--profile` CLI flag: enables stall
-    /// profiling iff the flag is present, and reports whether it was.
-    pub fn enable_profile_from_args(&mut self) -> bool {
-        let on = std::env::args().skip(1).any(|a| a == "--profile");
-        if on {
-            self.enable_profile();
-        }
-        on
+    /// Where this campaign writes tables, journals and sidecars.
+    pub fn results_dir(&self) -> &Path {
+        &self.settings.results_dir
     }
 
     /// The configuration a point actually runs with: the caller's `sim`
-    /// plus this campaign's telemetry interval (unless the point pins
-    /// its own). Never consulted by [`key_of`]. Borrows the caller's
-    /// config unchanged in the common case — a clone happens only when
-    /// the campaign has to impose its interval on the point.
-    fn sim_for_attempt<'a>(&self, sim: &'a SimConfig) -> Cow<'a, SimConfig> {
-        let impose_interval = sim.telemetry_interval.is_none() && self.telemetry_interval.is_some();
-        let impose_profile = self.cycle_profile && !sim.cycle_profile;
-        if !impose_interval && !impose_profile {
-            return Cow::Borrowed(sim);
-        }
+    /// plus this campaign's per-run settings wherever the point leaves
+    /// them open. Never consulted by [`key_of`].
+    fn sim_for_attempt(&self, sim: &SimConfig) -> SimConfig {
         let mut run = sim.clone();
-        if impose_interval {
-            run.telemetry_interval = self.telemetry_interval;
-        }
-        if impose_profile {
-            run.cycle_profile = true;
-        }
-        Cow::Owned(run)
+        self.settings.sim.apply(&mut run);
+        run.telemetry_interval = run.telemetry_interval.or(self.settings.telemetry_interval);
+        run.cycle_profile |= self.settings.profile;
+        run
     }
 
     /// Records a freshly simulated point's timeline and stall breakdown,
@@ -452,18 +372,18 @@ impl Campaign {
     }
 
     /// Writes every timeline collected this process to
-    /// `<results_dir>/<name>.timeline.csv` (`CARVE_RESULTS_DIR`, default
-    /// `results/`): one row per (point, interval, GPU), prefixed with the
-    /// workload and config-key columns so rows from different points
-    /// stay distinguishable. Rows appear in point-commit order, which is
-    /// deterministic across thread counts. Returns the path written, or
-    /// `None` when no timelines were collected.
+    /// `<results_dir>/<name>.timeline.csv`: one row per (point, interval,
+    /// GPU), prefixed with the workload and config-key columns so rows
+    /// from different points stay distinguishable. Rows appear in
+    /// point-commit order, which is deterministic across thread counts.
+    /// Returns the path written, or `None` when no timelines were
+    /// collected.
     pub fn write_timeline_csv(&self, name: &str) -> std::io::Result<Option<PathBuf>> {
         if self.timelines.is_empty() {
             return Ok(None);
         }
-        let dir = crate::results_dir();
-        std::fs::create_dir_all(&dir)?;
+        let dir = self.results_dir();
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.timeline.csv"));
         self.write_timeline_csv_to(&path)?;
         Ok(Some(path))
@@ -483,17 +403,16 @@ impl Campaign {
     }
 
     /// Writes every stall breakdown collected this process to
-    /// `<results_dir>/<name>.profile.tsv` (`CARVE_RESULTS_DIR`, default
-    /// `results/`): one line per point, `workload\tconfig\t<compact
-    /// profile>` keyed exactly like the journal so `carve-report` can
-    /// join the two. Returns the path, or `None` when nothing was
-    /// collected.
+    /// `<results_dir>/<name>.profile.tsv`: one line per point,
+    /// `workload\tconfig\t<compact profile>` keyed exactly like the
+    /// journal so `carve-report` can join the two. Returns the path, or
+    /// `None` when nothing was collected.
     pub fn write_profile_tsv(&self, name: &str) -> std::io::Result<Option<PathBuf>> {
         if self.stall_profiles.is_empty() {
             return Ok(None);
         }
-        let dir = crate::results_dir();
-        std::fs::create_dir_all(&dir)?;
+        let dir = self.results_dir();
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.profile.tsv"));
         self.write_profile_tsv_to(&path)?;
         Ok(Some(path))
@@ -514,7 +433,7 @@ impl Campaign {
         match self.write_profile_tsv(name) {
             Ok(Some(path)) => eprintln!("profile: {}", path.display()),
             Ok(None) => {
-                if self.cycle_profile {
+                if self.settings.profile {
                     eprintln!(
                         "profile: no points simulated this run (journal-resumed \
                          points carry no breakdown)"
@@ -531,7 +450,7 @@ impl Campaign {
         match self.write_timeline_csv(name) {
             Ok(Some(path)) => eprintln!("timeline: {}", path.display()),
             Ok(None) => {
-                if self.telemetry_interval.is_some() {
+                if self.settings.telemetry_interval.is_some() {
                     eprintln!(
                         "timeline: no points simulated this run (journal-resumed \
                          points carry no timeline)"
@@ -552,11 +471,11 @@ impl Campaign {
         self.base_cfg.clone()
     }
 
-    /// Attaches the checkpoint journal `<results_dir>/<name>.journal`
-    /// (`CARVE_RESULTS_DIR`, default `results/`), resuming from any
-    /// records already on disk. Returns the number of points resumed.
+    /// Attaches the checkpoint journal `<results_dir>/<name>.journal`,
+    /// resuming from any records already on disk. Returns the number of
+    /// points resumed.
     pub fn set_journal(&mut self, name: &str) -> Result<usize, SimError> {
-        self.set_journal_path(&crate::results_dir().join(format!("{name}.journal")))
+        self.set_journal_path(&self.results_dir().join(format!("{name}.journal")))
     }
 
     /// [`Campaign::set_journal`] with an explicit file path.
@@ -570,7 +489,7 @@ impl Campaign {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| io(&e))?;
         }
-        let header = format!("#carve-journal v1 quick={}", self.quick);
+        let header = format!("#carve-journal v1 quick={}", self.settings.quick);
         let mut records: Vec<LoadedRecord> = Vec::new();
         let mut malformed = 0usize;
         // Read as bytes, not a string: a crash (or disk corruption) can
@@ -718,7 +637,7 @@ impl Campaign {
         // single-GPU runs use no profile-driven policy.
         let profile = self.profile_arc(spec, sim.design.num_gpus(&sim.cfg));
         let run_sim = self.sim_for_attempt(sim);
-        match attempt_point(spec, &run_sim, &profile, self.retries, jitter_seed(&key)) {
+        match attempt_point(spec, &run_sim, &profile, &self.settings, jitter_seed(&key)) {
             Ok((r, millis)) => {
                 if let Some(j) = &self.journal {
                     j.append(&ok_line(&key.1, &r));
@@ -751,7 +670,7 @@ impl Campaign {
     }
 
     /// Simulates every (workload × configuration) point, fanning uncached
-    /// points across worker threads ([`par::thread_count`]), and returns
+    /// points across `settings.threads` worker threads, and returns
     /// the results **in input order**. Each point is an independent
     /// `System`, so concurrency cannot change any result.
     ///
@@ -783,7 +702,7 @@ impl Campaign {
     }
 
     /// Panic-isolated [`Campaign::run_parallel`]: one poisoned point is
-    /// reported as an `Err` cell (after `CARVE_RETRIES` retries) while
+    /// reported as an `Err` cell (after `settings.retries` retries) while
     /// every other point completes. Completed and failed points stream to
     /// the journal as workers finish, so a killed grid resumes with only
     /// the unfinished points re-run — producing byte-identical tables
@@ -794,10 +713,10 @@ impl Campaign {
         points: &[(WorkloadSpec, SimConfig)],
     ) -> Vec<Result<SimResult, PointFailure>> {
         // Sharing profiles are shared across points; memoize them up front
-        // so workers only read them (through `Arc`). Specs and configs are
-        // borrowed from `points` — the scoped-thread map never needs owned
-        // copies.
-        let mut jobs: Vec<(&WorkloadSpec, Cow<'_, SimConfig>, Arc<SharingProfile>)> = Vec::new();
+        // so workers only read them (through `Arc`). Specs are borrowed
+        // from `points`; each config carries the campaign's per-run
+        // settings.
+        let mut jobs: Vec<(&WorkloadSpec, SimConfig, Arc<SharingProfile>)> = Vec::new();
         let mut claimed: HashSet<(String, String)> = HashSet::new();
         for (spec, sim) in points {
             let key = key_of(spec, sim);
@@ -810,14 +729,14 @@ impl Campaign {
             let profile = self.profile_arc(spec, sim.design.num_gpus(&sim.cfg));
             jobs.push((spec, self.sim_for_attempt(sim), profile));
         }
-        let parallel = jobs.len() > 1 && par::thread_count() > 1;
+        let threads = self.settings.threads;
+        let parallel = jobs.len() > 1 && threads > 1;
         let journal = self.journal.as_ref();
-        let retries = self.retries;
-        // attempt_point already catches panics, so the harness-level catch
-        // (retries = 0) is only a backstop; no cell can abort the grid.
-        let outcomes = par::parallel_map_catch(&jobs, 0, |(spec, sim, profile)| {
+        let settings = &self.settings;
+        // attempt_point catches panics, so no cell can abort the grid.
+        let outcomes = par::ordered_map(&jobs, threads, |(spec, sim, profile)| {
             let key = key_of(spec, sim);
-            let outcome = attempt_point(spec, sim, profile, retries, jitter_seed(&key));
+            let outcome = attempt_point(spec, sim, profile, settings, jitter_seed(&key));
             // Stream the finished point so a killed campaign resumes here.
             if let Some(j) = journal {
                 match &outcome {
@@ -832,8 +751,7 @@ impl Campaign {
             }
             (key, outcome)
         });
-        for cell in outcomes {
-            let (key, outcome) = cell.expect("attempt_point catches its own panics");
+        for (key, outcome) in outcomes {
             match outcome {
                 Ok((r, millis)) => {
                     self.collect_timeline(&key, &r);
@@ -886,13 +804,13 @@ impl Campaign {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let engine = EngineMode::from_env().label();
+        let engine = self.settings.sim.engine.label();
         let total: f64 = self.timings.iter().map(|t| t.millis).sum();
         let mut out = std::fs::File::create(path)?;
         writeln!(out, "{{")?;
         writeln!(out, "  \"engine\": \"{engine}\",")?;
-        writeln!(out, "  \"threads\": {},", par::thread_count())?;
-        writeln!(out, "  \"quick\": {},", self.quick)?;
+        writeln!(out, "  \"threads\": {},", self.settings.threads)?;
+        writeln!(out, "  \"quick\": {},", self.settings.quick)?;
         writeln!(out, "  \"points\": {},", self.timings.len())?;
         writeln!(out, "  \"total_millis\": {total:.3},")?;
         writeln!(out, "  \"runs\": [")?;
@@ -931,14 +849,13 @@ mod tests {
     use super::*;
 
     fn quick_campaign() -> Campaign {
-        let mut c = Campaign::new();
-        // Force tiny shapes regardless of env to keep tests fast.
+        let mut c = Campaign::new(Settings::default());
+        // Tiny shapes keep the tests fast.
         for spec in &mut c.specs {
             spec.shape.kernels = 2;
             spec.shape.ctas = 16;
             spec.shape.instrs_per_warp = 40;
         }
-        c.set_retries(0);
         c
     }
 
@@ -985,7 +902,7 @@ mod tests {
 
     #[test]
     fn twenty_specs_by_default() {
-        let c = Campaign::new();
+        let c = Campaign::new(Settings::default());
         assert_eq!(c.specs().len(), 20);
     }
 
@@ -1171,7 +1088,7 @@ mod tests {
     #[test]
     fn permanent_failures_fail_fast_while_transient_ones_retry() {
         let mut c = quick_campaign();
-        c.set_retries(3);
+        c.settings.retries = 3;
         let spec = c.specs()[0].clone();
         // ConfigInvalid is deterministic: with 3 retries armed, the point
         // must still make exactly one attempt. (The broken knob must not
@@ -1187,7 +1104,7 @@ mod tests {
         let mut stall = SimConfig::new(Design::NumaGpu);
         stall.stall_inject_at = Some(500);
         stall.watchdog_cycles = Some(5_000);
-        c.set_retries(1);
+        c.settings.retries = 1;
         let f = c.try_result(&spec, &stall).expect_err("stall fails");
         assert_eq!(f.attempts, 2, "transient error retries: {f}");
         assert!(f.error.contains("watchdog"), "{}", f.error);
@@ -1273,9 +1190,9 @@ mod tests {
     fn timelines_collect_in_input_order_without_perturbing_results() {
         let mut plain = quick_campaign();
         let mut seq = quick_campaign();
-        seq.telemetry_interval = Some(700);
+        seq.settings.telemetry_interval = Some(700);
         let mut par_c = quick_campaign();
-        par_c.telemetry_interval = Some(700);
+        par_c.settings.telemetry_interval = Some(700);
         let specs = plain.specs();
         let mut points: Vec<(WorkloadSpec, SimConfig)> = Vec::new();
         for spec in specs.iter().take(2) {
@@ -1325,7 +1242,7 @@ mod tests {
     fn profiles_collect_per_point_without_perturbing_results() {
         let mut plain = quick_campaign();
         let mut prof = quick_campaign();
-        prof.enable_profile();
+        prof.settings.profile = true;
         let specs = plain.specs();
         let mut points: Vec<(WorkloadSpec, SimConfig)> = Vec::new();
         for spec in specs.iter().take(2) {
@@ -1374,7 +1291,7 @@ mod tests {
         let dir = test_dir("timeline-resume");
         let path = dir.join("grid.journal");
         let mut a = quick_campaign();
-        a.telemetry_interval = Some(900);
+        a.settings.telemetry_interval = Some(900);
         a.set_journal_path(&path).expect("attach journal");
         let specs = a.specs();
         let points = vec![
@@ -1387,7 +1304,7 @@ mod tests {
         // A fresh campaign resuming from the journal reproduces the same
         // table but simulates nothing, so it collects no timelines.
         let mut b = quick_campaign();
-        b.telemetry_interval = Some(900);
+        b.settings.telemetry_interval = Some(900);
         b.set_journal_path(&path).expect("resume journal");
         let table_b = table_of(&b.try_run_parallel(&points));
         assert_eq!(table_b, table_a);

@@ -375,7 +375,7 @@ mod tests {
     use super::*;
 
     fn tiny_campaign() -> Campaign {
-        let mut c = Campaign::new();
+        let mut c = Campaign::new(crate::Settings::default());
         for spec in &mut c.specs {
             spec.shape.kernels = 2;
             spec.shape.ctas = 16;

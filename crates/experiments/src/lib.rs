@@ -7,7 +7,9 @@
 //!
 //! Output goes to stdout as aligned tables and to `results/<id>.tsv`.
 //!
-//! Environment knobs:
+//! The library reads no environment: every binary resolves its
+//! [`Settings`] once in `main` and hands them to [`Campaign::new`].
+//! Environment knobs the binaries read:
 //!
 //! * `CARVE_QUICK=1` — shrink workloads (fewer kernels/CTAs) for a fast
 //!   sanity pass of the whole campaign.
@@ -15,22 +17,36 @@
 //!   `results/`).
 //! * `CARVE_THREADS` — worker threads for parallel campaign fan-out
 //!   (default: available parallelism).
-//! * `CARVE_STEP=1` — force the legacy cycle-stepping engine instead of
-//!   event skipping (see `carve_system::sim`).
+//! * `CARVE_RETRIES` — extra attempts for a failed point (default 0).
+//! * `CARVE_TELEMETRY_INTERVAL` — interval telemetry for every simulated
+//!   point (`--timeline` alone samples every 5000 cycles).
+//! * `CARVE_STEP=1`, `CARVE_SANITIZE=1`, `CARVE_WATCHDOG_CYCLES` — the
+//!   stepping engine, the protocol sanitizer and the watchdog budget (see
+//!   [`carve_system::SimSettings`]).
+//!
+//! Flags: `--timeline` and `--profile` write per-point interval telemetry
+//! and stall breakdowns next to the tables; `all-figures --bench-json`
+//! also writes per-point timings.
 
 #![warn(missing_docs)]
 
 pub mod campaign;
 pub mod figures;
 pub mod par;
+pub mod settings;
 pub mod table;
 
 pub use campaign::{Campaign, PointFailure, PointTiming};
+pub use settings::Settings;
 pub use table::Table;
 
-/// Where campaign outputs go: `CARVE_RESULTS_DIR`, default `results/`.
-pub fn results_dir() -> std::path::PathBuf {
-    std::env::var("CARVE_RESULTS_DIR")
-        .unwrap_or_else(|_| "results".into())
-        .into()
+/// The body of a single-figure binary: regenerates `figure` on a
+/// campaign journaled as `name`, then writes its table and any timeline
+/// or profile sidecars the settings ask for.
+pub fn figure_main(name: &str, settings: Settings, figure: fn(&mut Campaign) -> Table) {
+    let mut c = Campaign::with_journal(name, settings);
+    figure(&mut c).emit(c.results_dir());
+    eprintln!("({} simulation runs)", c.cached_runs());
+    c.report_timeline(name);
+    c.report_profile(name);
 }

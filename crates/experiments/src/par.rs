@@ -1,67 +1,54 @@
-//! Deterministic, panic-isolated parallel map for fanning independent
-//! simulations across threads.
+//! Deterministic parallel map for fanning independent simulations across
+//! threads.
 //!
 //! Every `System` is fully self-contained (no globals, no shared RNG), so
 //! campaign points can run concurrently; determinism is preserved because
 //! results are returned in input order regardless of which thread finishes
-//! first. The harness is first-party (`std::thread::scope` + an atomic
-//! work index) since the workspace vendors no external crates.
-//!
-//! [`parallel_map_catch`] is the fault-tolerant core: a panicking point is
-//! caught with `catch_unwind`, optionally retried (`CARVE_RETRIES`), and
-//! reported as an `Err` cell carrying the panic payload — one poisoned
-//! design point no longer kills a multi-hour grid. [`parallel_map`] keeps
-//! the original all-or-nothing contract on top of it.
+//! first. The map is first-party (`std::thread::scope` + an atomic work
+//! index) since the workspace vendors no external crates. It does not
+//! catch panics: a caller that must survive a failing item catches inside
+//! `f`, as the campaign's point runner does, with [`panic_message`] and
+//! [`backoff_delay`] for its retry loop.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Mutex;
 
-/// Worker-thread count: `CARVE_THREADS` when set (min 1), otherwise the
-/// machine's available parallelism. An unparsable `CARVE_THREADS` falls
-/// back to auto-detection with a one-line stderr warning naming the bad
-/// value (warned once per process, not once per campaign).
-pub fn thread_count() -> usize {
-    match std::env::var("CARVE_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: CARVE_THREADS={v:?} is not a thread count; \
-                         falling back to available parallelism"
-                    );
-                });
-            }
-        },
-        Err(std::env::VarError::NotPresent) => {}
-        Err(e @ std::env::VarError::NotUnicode(_)) => {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!("warning: CARVE_THREADS is unreadable ({e}); falling back");
+/// Applies `f` to every item across up to `threads` threads and returns
+/// the results **in input order** — byte-for-byte what a sequential map
+/// would produce, independent of scheduling.
+pub fn ordered_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = f(&items[i]);
+                *results[i].lock().expect("result slot never poisoned") = Some(out);
             });
         }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Bounded retry count for failed points: `CARVE_RETRIES` (default 0, i.e.
-/// one attempt and no retries). An unparsable value warns and uses the
-/// default.
-pub fn retries_from_env() -> usize {
-    match std::env::var("CARVE_RETRIES") {
-        Err(_) => 0,
-        Ok(v) => v.trim().parse::<usize>().unwrap_or_else(|_| {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!("warning: CARVE_RETRIES={v:?} is not a retry count; using 0");
-            });
-            0
-        }),
-    }
+    });
+    results
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot never poisoned")
+                .expect("worker filled every claimed slot")
+        })
+        .collect()
 }
 
 /// Base delay of the first retry; each further retry doubles it.
@@ -98,123 +85,22 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Applies `f` to every item (by reference, so failed attempts can be
-/// retried), fanning across [`thread_count`] threads. Results come back
-/// **in input order** — byte-for-byte what a sequential map would produce,
-/// independent of scheduling.
-///
-/// A panicking `f` is caught and re-invoked up to `retries` more times;
-/// if every attempt panics, that cell is `Err(message)` carrying the last
-/// panic's payload while every other cell completes normally. No locks are
-/// held across `f`, so a panic cannot poison the harness.
-pub fn parallel_map_catch<T, R, F>(items: &[T], retries: usize, f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let run_one = |index: usize, item: &T| -> Result<R, String> {
-        let mut last = String::new();
-        for attempt in 0..=retries {
-            if attempt > 0 {
-                // A panic is treated as transient (a poisoned point may be
-                // an environmental hiccup); back off before re-running so
-                // simultaneous failures across workers do not retry in
-                // lockstep. The item index seeds the jitter: deterministic
-                // per cell, different across cells.
-                std::thread::sleep(backoff_delay(attempt - 1, index as u64));
-            }
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(r) => return Ok(r),
-                Err(payload) => last = panic_message(payload.as_ref()),
-            }
-        }
-        Err(last)
-    };
-    let n = items.len();
-    let threads = thread_count().min(n);
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| run_one(i, item))
-            .collect();
-    }
-    let results: Vec<Mutex<Option<Result<R, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // The catch_unwind inside run_one guarantees no panic can
-                // unwind through this lock, so slots never poison.
-                let out = run_one(i, &items[i]);
-                *results[i].lock().expect("result slot never poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot never poisoned")
-                .expect("worker filled every claimed slot")
-        })
-        .collect()
-}
-
-/// Applies `f` to every item, fanning across [`thread_count`] threads, and
-/// returns the results **in input order**.
-///
-/// # Panics
-///
-/// If `f` panics for any item, the rest of the grid still completes, then
-/// this re-panics with the first failing item's message. Use
-/// [`parallel_map_catch`] to keep failed cells instead.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    // Hand out items by moving them through a slot so `f` keeps its
-    // by-value signature; each index is claimed exactly once.
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results = parallel_map_catch(&work, 0, |slot| {
-        let item = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("each index claimed once");
-        f(item)
-    });
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|msg| panic!("parallel_map item {i} panicked: {msg}")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..257).collect();
-        let out = parallel_map(items.clone(), |x| x * x);
+        let out = ordered_map(&items, 4, |x| x * x);
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         assert_eq!(out, expected);
     }
 
     #[test]
     fn handles_empty_and_single() {
-        assert_eq!(parallel_map(Vec::<u64>::new(), |x| x), Vec::<u64>::new());
-        assert_eq!(parallel_map(vec![7u64], |x| x + 1), vec![8]);
+        assert_eq!(ordered_map(&[] as &[u64], 4, |&x| x), Vec::<u64>::new());
+        assert_eq!(ordered_map(&[7u64], 4, |x| x + 1), vec![8]);
     }
 
     #[test]
@@ -222,60 +108,11 @@ mod tests {
         // The map must be scheduling-independent; exercise the sequential
         // fallback path and the threaded path on the same input.
         let items: Vec<u64> = (0..64).map(|i| i * 3 + 1).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xA5).collect();
-        let par = parallel_map(items, |x| x.wrapping_mul(x) ^ 0xA5);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn one_panicking_item_becomes_a_failed_cell_and_the_rest_complete() {
-        let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map_catch(&items, 0, |&x| {
-            assert!(x != 13, "unlucky point {x}");
-            x * 2
-        });
-        assert_eq!(out.len(), 64);
-        for (i, r) in out.iter().enumerate() {
-            if i == 13 {
-                let msg = r.as_ref().expect_err("item 13 must fail");
-                assert!(msg.contains("unlucky point 13"), "{msg:?}");
-            } else {
-                assert_eq!(*r.as_ref().expect("others succeed"), i as u64 * 2);
-            }
+        let f = |&x: &u64| x.wrapping_mul(x) ^ 0xA5;
+        let seq: Vec<u64> = items.iter().map(f).collect();
+        for threads in [1, 2, 8] {
+            assert_eq!(ordered_map(&items, threads, f), seq, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn bounded_retry_reruns_failed_points() {
-        // Fails on the first attempt for every item, succeeds on retry.
-        let attempts: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
-        let items: Vec<usize> = (0..8).collect();
-        let out = parallel_map_catch(&items, 1, |&i| {
-            if attempts[i].fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient failure on {i}");
-            }
-            i * 10
-        });
-        for (i, r) in out.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("retry must succeed"), i * 10);
-            assert_eq!(attempts[i].load(Ordering::SeqCst), 2);
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_report_the_last_panic() {
-        let out = parallel_map_catch(&[1u32], 2, |_| -> u32 { panic!("always fails") });
-        let msg = out[0].as_ref().expect_err("must exhaust retries");
-        assert!(msg.contains("always fails"));
-    }
-
-    #[test]
-    #[should_panic(expected = "boom on 3")]
-    fn parallel_map_still_panics_after_grid_completes() {
-        let _ = parallel_map((0..8u32).collect::<Vec<_>>(), |x| {
-            assert!(x != 3, "boom on {x}");
-            x
-        });
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::fs;
 use std::io::Write as _;
+use std::path::Path;
 
 /// A simple results table: header row plus data rows.
 #[derive(Debug, Clone)]
@@ -123,17 +124,16 @@ impl Table {
         out
     }
 
-    /// Prints to stdout and writes `<results_dir>/<id>.tsv`.
-    pub fn emit(&self) {
+    /// Prints to stdout and writes `<dir>/<id>.tsv`.
+    pub fn emit(&self, dir: &Path) {
         println!("{}", self.render());
         if let Some(col) = self.chart_column {
             if let Some(chart) = self.render_chart(col) {
                 println!("{chart}");
             }
         }
-        let path = crate::results_dir();
-        if fs::create_dir_all(&path).is_ok() {
-            let file = path.join(format!("{}.tsv", self.id));
+        if fs::create_dir_all(dir).is_ok() {
+            let file = dir.join(format!("{}.tsv", self.id));
             if let Ok(mut f) = fs::File::create(&file) {
                 let _ = writeln!(f, "{}", self.header.join("\t"));
                 for row in &self.rows {

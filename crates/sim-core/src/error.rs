@@ -1,7 +1,7 @@
 //! Structured simulation errors.
 //!
 //! [`SimError`] is the single error type flowing through the fallible
-//! simulation APIs (`carve_system::try_run`, campaign journals). Each
+//! simulation APIs (`carve_system::try_run_with_profile_mode`, campaign journals). Each
 //! variant carries enough context to act on: invalid configurations name
 //! the offending knob and its value, watchdog stalls carry a
 //! component-level diagnostic dump, and checkpoint I/O failures name the

@@ -14,7 +14,7 @@
 //!   breakdowns ([`ProfileReport`]) behind `carve-sim profile`,
 //! * [`units`] — byte-size / bandwidth formatting helpers,
 //! * [`telemetry`] — interval sampling ([`Timeline`]) and structured event
-//!   tracing ([`TraceSink`]) for the observability layer.
+//!   tracing ([`TraceEvent`]) for the observability layer.
 //!
 //! The simulator advances an event-horizon engine over a cycle-accurate
 //! model: components implement [`NextEvent`] so the engine can jump `now`
@@ -67,7 +67,5 @@ pub use profile::{
 pub use queue::BoundedQueue;
 pub use rng::Stream;
 pub use stats::{geomean, Counter, Histogram};
-pub use telemetry::{
-    IntervalRecord, JsonTraceSink, NullTraceSink, Timeline, TraceEvent, TracePhase, TraceSink,
-};
+pub use telemetry::{write_chrome_json, IntervalRecord, Timeline, TraceEvent, TracePhase};
 pub use watchdog::{Stall, Watchdog, DEFAULT_WATCHDOG_CYCLES};

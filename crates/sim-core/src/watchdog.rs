@@ -14,9 +14,9 @@
 //! is exactly "zero progress events in the whole window" — there are no
 //! missed intermediate transitions.
 //!
-//! The budget comes from the `CARVE_WATCHDOG_CYCLES` environment variable:
-//! unset enables the default budget, `0` disables the watchdog, any other
-//! value sets the budget in cycles.
+//! The budget comes from `SimConfig::watchdog_cycles`: unset means
+//! [`DEFAULT_WATCHDOG_CYCLES`], `0` disables the watchdog, any other value
+//! sets the budget in cycles.
 
 use crate::Cycle;
 
@@ -57,27 +57,6 @@ impl Watchdog {
             last_progress_cycle: 0,
             next_check: budget.unwrap_or(0),
         }
-    }
-
-    /// Creates a watchdog configured from `CARVE_WATCHDOG_CYCLES` (unset =
-    /// default budget, `0` = disabled, `n` = budget of `n` cycles). An
-    /// unparsable value falls back to the default with a stderr warning.
-    pub fn from_env() -> Watchdog {
-        let budget = match std::env::var("CARVE_WATCHDOG_CYCLES") {
-            Err(_) => Some(DEFAULT_WATCHDOG_CYCLES),
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(0) => None,
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!(
-                        "warning: CARVE_WATCHDOG_CYCLES={v:?} is not a cycle count; \
-                         using default {DEFAULT_WATCHDOG_CYCLES}"
-                    );
-                    Some(DEFAULT_WATCHDOG_CYCLES)
-                }
-            },
-        };
-        Watchdog::with_budget(budget)
     }
 
     /// The configured budget, if enabled.

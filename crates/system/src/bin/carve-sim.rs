@@ -47,6 +47,10 @@
 //! <dir>/stalls.csv (per-interval stacked stall rows; default dir
 //! results/profile/<workload>).
 //!
+//! environment: `CARVE_STEP` (stepping engine), `CARVE_SANITIZE`
+//! (sanitizer on unless set to empty or `0`) and `CARVE_WATCHDOG_CYCLES`
+//! (no-progress budget, `0` disables), read once at start-up.
+//!
 //! exit codes: 0 success, 1 simulation failure (including sanitizer
 //! violations), 2 usage error, 3 watchdog stall.
 //! ```
@@ -56,8 +60,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use carve_system::{
-    chaos, profile_workload, try_run, try_run_observed, workloads, ChaosFixture, ChaosOutcome,
-    ChaosScenario, Design, EngineMode, FaultPlan, JsonTraceSink, SimConfig, SimError, SimResult,
+    chaos, profile_workload, try_run_with_profile_mode, workloads, write_chrome_json, ChaosFixture,
+    ChaosOutcome, ChaosScenario, Design, FaultPlan, SimConfig, SimError, SimResult, SimSettings,
     TopologySpec,
 };
 use sim_core::rng::Stream;
@@ -247,6 +251,17 @@ fn sim_config_from(args: &RunArgs) -> SimConfig {
     sim
 }
 
+/// Runs `sim` with the environment's engine, sanitizer and watchdog
+/// settings filling whatever the command line left open.
+fn simulate(
+    spec: &carve_trace::WorkloadSpec,
+    mut sim: SimConfig,
+    env: &SimSettings,
+) -> Result<SimResult, SimError> {
+    env.apply(&mut sim);
+    try_run_with_profile_mode(spec, &sim, None, env.engine)
+}
+
 fn print_result(r: &carve_system::SimResult) {
     println!("workload:           {}", r.workload);
     println!("design:             {}", r.design.label());
@@ -349,7 +364,7 @@ fn parse_fuzz_args(args: &[String]) -> Result<FuzzArgs, String> {
 /// - a *lossy* plan is oracle bait: when the watchdog or sanitizer
 ///   catches the injected misbehaviour, the scenario is minimized and
 ///   (with `--out`) dumped as a replayable `.chaos` fixture.
-fn run_fuzz(args: &FuzzArgs) -> ExitCode {
+fn run_fuzz(args: &FuzzArgs, env: &SimSettings) -> ExitCode {
     let mut completed = 0u64;
     let mut partitioned = 0u64;
     let mut oracle_fired = 0u64;
@@ -377,7 +392,7 @@ fn run_fuzz(args: &FuzzArgs) -> ExitCode {
                 // An oracle caught the injected loss: the finding we fuzz
                 // for. Shrink it and keep it as a regression fixture.
                 oracle_fired += 1;
-                let min = chaos::minimize(&scenario, &outcome, EngineMode::from_env());
+                let min = chaos::minimize(&scenario, &outcome, env.engine);
                 match min.run_both_engines() {
                     Ok(o) if o == outcome => {
                         println!("  minimized: faults={}", min.plan.encode());
@@ -460,6 +475,7 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let env = SimSettings::resolve(|key| std::env::var_os(key));
     match args.first().map(String::as_str) {
         Some("list") => {
             println!(
@@ -496,7 +512,7 @@ fn main() -> ExitCode {
             let sim = sim_config_from(&parsed);
             // audit:allow(wall-clock) run-duration banner for humans, not simulated time
             let started = Instant::now();
-            match try_run(&spec, &sim) {
+            match simulate(&spec, sim, &env) {
                 Ok(r) => {
                     let wall = started.elapsed();
                     print_result(&r);
@@ -526,6 +542,7 @@ fn main() -> ExitCode {
             };
             let mut sim = sim_config_from(&parsed);
             sim.telemetry_interval = Some(parsed.interval.unwrap_or(DEFAULT_TRACE_INTERVAL));
+            sim.event_trace = true;
             let out_dir = parsed
                 .out
                 .clone()
@@ -534,10 +551,9 @@ fn main() -> ExitCode {
                 eprintln!("error: cannot create '{out_dir}': {e}");
                 return ExitCode::FAILURE;
             }
-            let mut sink = JsonTraceSink::new();
             // audit:allow(wall-clock) run-duration banner for humans, not simulated time
             let started = Instant::now();
-            match try_run_observed(&spec, &sim, None, EngineMode::from_env(), &mut sink) {
+            match simulate(&spec, sim, &env) {
                 Ok(r) => {
                     let wall = started.elapsed();
                     let csv_path = format!("{out_dir}/timeline.csv");
@@ -546,11 +562,15 @@ fn main() -> ExitCode {
                         .timeline
                         .as_ref()
                         .expect("trace always enables telemetry sampling");
+                    let events = r.trace.as_deref().expect("trace enables event tracing");
                     if let Err(e) = std::fs::write(&csv_path, timeline.to_csv_string()) {
                         eprintln!("error: cannot write '{csv_path}': {e}");
                         return ExitCode::FAILURE;
                     }
-                    if let Err(e) = std::fs::write(&json_path, sink.to_json_string()) {
+                    let mut json = Vec::new();
+                    if let Err(e) = write_chrome_json(events, &mut json)
+                        .and_then(|()| std::fs::write(&json_path, json))
+                    {
                         eprintln!("error: cannot write '{json_path}': {e}");
                         return ExitCode::FAILURE;
                     }
@@ -561,7 +581,7 @@ fn main() -> ExitCode {
                     );
                     println!(
                         "trace:              {json_path} ({} events; open in ui.perfetto.dev)",
-                        sink.events().len()
+                        events.len()
                     );
                     eprintln!("{}", summary_line(&r, wall));
                     ExitCode::SUCCESS
@@ -585,7 +605,7 @@ fn main() -> ExitCode {
                 "design", "cycles", "ipc", "remote", "rdc-hit"
             );
             for design in Design::all() {
-                match try_run(&spec, &SimConfig::new(design)) {
+                match simulate(&spec, SimConfig::new(design), &env) {
                     Ok(r) => println!(
                         "{:<18} {:>10} {:>7.2} {:>7.1}% {:>8.1}%",
                         design.label(),
@@ -656,7 +676,7 @@ fn main() -> ExitCode {
             }
             // audit:allow(wall-clock) run-duration banner for humans, not simulated time
             let started = Instant::now();
-            match try_run(&spec, &sim) {
+            match simulate(&spec, sim, &env) {
                 Ok(r) => {
                     let wall = started.elapsed();
                     let report = r
@@ -704,7 +724,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(EXIT_USAGE);
                 }
             };
-            run_fuzz(&parsed)
+            run_fuzz(&parsed, &env)
         }
         _ => usage(),
     }
@@ -835,7 +855,7 @@ mod tests {
         let sim = sim_config_from(&a);
         assert_eq!(sim.sanitize, Some(true));
         assert_eq!(sim.stall_inject_at, Some(5000));
-        // Off by default: `None` defers to CARVE_SANITIZE, it does not force-disable.
+        // Off by default: `None` leaves CARVE_SANITIZE to decide, it does not force-disable.
         let b = parse_run_args(&strs(&["Lulesh"])).unwrap();
         assert!(!b.sanitize);
         assert_eq!(sim_config_from(&b).sanitize, None);

@@ -150,18 +150,16 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Cycles charged per kernel launch.
     pub kernel_launch_cycles: u64,
-    /// Watchdog no-progress budget override in cycles (`Some(0)` disables).
-    /// `None` defers to `CARVE_WATCHDOG_CYCLES` / the built-in default.
+    /// Watchdog no-progress budget in cycles (`Some(0)` disables). `None`
+    /// means [`sim_core::DEFAULT_WATCHDOG_CYCLES`].
     pub watchdog_cycles: Option<u64>,
-    /// Telemetry sampling interval override in cycles (`Some(0)` disables).
-    /// `None` defers to `CARVE_TELEMETRY_INTERVAL` (default: off). When
-    /// enabled, the run's [`crate::SimResult`] carries a
+    /// Telemetry sampling interval in cycles. `None` or `Some(0)` leaves
+    /// sampling off. When enabled, the run's [`crate::SimResult`] carries a
     /// [`sim_core::telemetry::Timeline`] of per-GPU interval records.
     /// Sampling is read-only: aggregates are bit-identical either way.
     pub telemetry_interval: Option<u64>,
-    /// Protocol sanitizer override (`Some(true)` enables, `Some(false)`
-    /// disables). `None` defers to `CARVE_SANITIZE` (default: off). When
-    /// enabled, a shadow checker validates coherence/lifecycle/timing
+    /// Protocol sanitizer (`Some(true)` enables; `None` or `Some(false)`
+    /// leaves it off). When enabled, a shadow checker validates coherence/lifecycle/timing
     /// invariants at every event and the run fails with
     /// [`sim_core::SimError::SanitizerViolation`] on the first breach.
     /// Like telemetry, the sanitizer is read-only: aggregates are
@@ -175,6 +173,12 @@ pub struct SimConfig {
     /// sanitizer, profiling is read-only: aggregates and journal lines are
     /// bit-identical either way.
     pub cycle_profile: bool,
+    /// Structured event tracing (default off). When enabled, the run's
+    /// [`crate::SimResult::trace`] carries the engine's
+    /// [`sim_core::TraceEvent`]s: kernel launch/drain spans per GPU,
+    /// coherence broadcasts, epoch invalidations, page migrations and
+    /// watchdog trips. Read-only like the other observers.
+    pub event_trace: bool,
     /// Deterministic fault-injection schedule (see [`sim_core::fault`]).
     /// Events are applied at their exact cycles under both engines, so a
     /// faulted run is still byte-identical across `EventSkip`/`Step`.
@@ -212,6 +216,7 @@ impl SimConfig {
             telemetry_interval: None,
             sanitize: None,
             cycle_profile: false,
+            event_trace: false,
             fault_plan: None,
             stall_inject_at: None,
         }
@@ -232,7 +237,7 @@ impl SimConfig {
 
     /// Rejects configurations that cannot describe a real machine, with a
     /// message naming the offending knob and its value. Called by
-    /// `try_run` and at campaign start, so a bad design point fails in
+    /// `try_run_with_profile_mode` and at campaign start, so a bad design point fails in
     /// microseconds instead of panicking deep inside the simulation.
     pub fn validate(&self) -> Result<(), SimError> {
         let c = &self.cfg;

@@ -13,11 +13,13 @@
 //! The eight named configurations of the paper's figures are the
 //! [`Design`] enum; [`run`] simulates one workload under one design and
 //! returns a [`SimResult`] with the cycle count and every traffic metric
-//! the figures plot. The fallible [`try_run`] family returns
+//! the figures plot. The fallible [`try_run_with_profile_mode`] returns
 //! [`SimError`](sim_core::SimError) instead of panicking: configurations
 //! are validated up front, a watchdog converts engine livelock into a
 //! diagnosed `WatchdogStall`, and cycle-cap overruns surface as
-//! `ResourceExhausted`.
+//! `ResourceExhausted`. Both are pure functions of their arguments: the
+//! `CARVE_*` environment variables are read by binaries, through
+//! [`SimSettings::resolve`], never by this library.
 //!
 //! # Example
 //!
@@ -37,15 +39,14 @@ pub mod chaos;
 pub mod design;
 pub mod metrics;
 mod sanitize;
+pub mod settings;
 pub mod sim;
 
 pub use chaos::{ChaosFixture, ChaosOutcome, ChaosScenario};
 pub use design::{Design, SimConfig};
 pub use metrics::SimResult;
-pub use sim::{
-    run, run_with_profile, run_with_profile_mode, try_run, try_run_observed, try_run_with_profile,
-    try_run_with_profile_mode, EngineMode,
-};
+pub use settings::SimSettings;
+pub use sim::{run, try_run_with_profile_mode, EngineMode};
 
 // Re-exports so experiment binaries need only this crate.
 pub use carve_runtime::sharing::{profile_workload, SharingProfile};
@@ -54,6 +55,6 @@ pub use sim_core::profile::{
     DramChannelProfile, LinkOccupancy, ProfileReport, StallCat, StallIntervalRecord, NUM_STALL_CATS,
 };
 pub use sim_core::telemetry::{
-    IntervalRecord, JsonTraceSink, NullTraceSink, Timeline, TraceEvent, TracePhase, TraceSink,
+    write_chrome_json, IntervalRecord, Timeline, TraceEvent, TracePhase,
 };
 pub use sim_core::{FaultKind, FaultPlan, RecoverySnapshot, ScaledConfig, SimError, TopologySpec};

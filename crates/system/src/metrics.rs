@@ -4,7 +4,7 @@ use crate::design::Design;
 use carve::RdcStats;
 use carve_dram::DramStats;
 use sim_core::profile::ProfileReport;
-use sim_core::telemetry::Timeline;
+use sim_core::telemetry::{Timeline, TraceEvent};
 use sim_core::{Histogram, RecoverySnapshot};
 
 /// Everything measured by one [`crate::run`] invocation.
@@ -61,7 +61,7 @@ pub struct SimResult {
     /// Whether the run drained before `max_cycles`.
     pub completed: bool,
     /// Interval telemetry samples, present when sampling was enabled
-    /// (`SimConfig::telemetry_interval` / `CARVE_TELEMETRY_INTERVAL`).
+    /// (`SimConfig::telemetry_interval`).
     /// Deliberately excluded from the campaign journal: the journal's
     /// 36-field line format is a stable resume contract, and timelines can
     /// be arbitrarily large. Results decoded from a journal carry `None`.
@@ -72,6 +72,11 @@ pub struct SimResult {
     /// campaigns that want per-point breakdowns journal a compact
     /// sidecar instead — so results decoded from a journal carry `None`.
     pub profile: Option<ProfileReport>,
+    /// Structured engine events in record order, present when tracing was
+    /// enabled (`SimConfig::event_trace`); render them with
+    /// [`sim_core::write_chrome_json`]. Excluded from the journal encoding
+    /// like the timeline, so results decoded from a journal carry `None`.
+    pub trace: Option<Vec<TraceEvent>>,
     /// Recovery accounting, present when a fault plan was armed
     /// (`SimConfig::fault_plan` / `--faults`). Like the timeline it is
     /// excluded from the 36-field journal encoding — the faulted-ness of
@@ -291,6 +296,7 @@ impl SimResult {
             completed,
             timeline: None,
             profile: None,
+            trace: None,
             recovery: None,
         })
     }
@@ -328,6 +334,7 @@ mod tests {
             completed: true,
             timeline: None,
             profile: None,
+            trace: None,
             recovery: None,
         }
     }
@@ -347,6 +354,8 @@ mod tests {
         assert!((slow.performance_vs(&fast) - 0.25).abs() < 1e-12);
     }
 
+    // The check is a `debug_assert!`: release builds do not panic.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "share a workload")]
     fn cross_workload_speedup_panics() {

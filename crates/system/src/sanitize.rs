@@ -1,7 +1,7 @@
 //! Shadow protocol sanitizer — a "TSan for GPU-VI/SWC".
 //!
-//! When enabled ([`crate::design::SimConfig::sanitize`] or
-//! `CARVE_SANITIZE=1`), the engine mirrors every coherence-relevant event
+//! When enabled ([`crate::design::SimConfig::sanitize`], which binaries
+//! set from `CARVE_SANITIZE=1`), the engine mirrors every coherence-relevant event
 //! into the [`Sanitizer`], which maintains an independent shadow of what
 //! the protocol *promised* (granted remote copies, directory membership,
 //! RDC residency supersets, epoch counters, token lifecycle, message

@@ -5,7 +5,7 @@
 //! an event-horizon engine: every component implements
 //! [`sim_core::NextEvent`], and the loop jumps `now` to the earliest
 //! reported event instead of polling every cycle — bit-identical to the
-//! step-by-1 engine ([`EngineMode::Step`], forced by setting the
+//! step-by-1 engine ([`EngineMode::Step`], which binaries select with the
 //! `CARVE_STEP` environment variable), just without the no-op ticks. The
 //! system crate owns everything *between* the GPU cores: DRAM, the RDC carve-outs and
 //! their coherence, the link fabric, CPU memory, and the runtime page
@@ -36,8 +36,11 @@ use carve_trace::WorkloadSpec;
 use sim_core::event::{earliest, NextEvent};
 use sim_core::fast::{FastSet, Slab, TagTable};
 use sim_core::profile::{ProfileReport, StallCat, StallLedger};
-use sim_core::telemetry::{self, IntervalRecord, NullTraceSink, Timeline, TraceEvent, TraceSink};
-use sim_core::{Cycle, FaultEvent, FaultKind, RecoverySnapshot, ScaledConfig, SimError, Watchdog};
+use sim_core::telemetry::{IntervalRecord, Timeline, TraceEvent};
+use sim_core::{
+    Cycle, FaultEvent, FaultKind, RecoverySnapshot, ScaledConfig, SimError, Watchdog,
+    DEFAULT_WATCHDOG_CYCLES,
+};
 
 use crate::design::{Design, SimConfig};
 use crate::metrics::SimResult;
@@ -1562,9 +1565,10 @@ fn wake_of(next: Option<Cycle>) -> u64 {
 /// Both modes produce bit-identical results (the event-skipping engine
 /// only omits cycles where provably nothing happens); `Step` exists for
 /// verification and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Jump `now` to the minimum [`NextEvent`] horizon across components.
+    #[default]
     EventSkip,
     /// Advance `now` one cycle at a time and tick every core, SM, DRAM
     /// channel and link on every cycle, reading no wake cycle: the oracle
@@ -1573,16 +1577,6 @@ pub enum EngineMode {
 }
 
 impl EngineMode {
-    /// The default mode: event skipping, unless the `CARVE_STEP`
-    /// environment variable forces the stepping engine.
-    pub fn from_env() -> EngineMode {
-        if std::env::var_os("CARVE_STEP").is_some() {
-            EngineMode::Step
-        } else {
-            EngineMode::EventSkip
-        }
-    }
-
     /// The name benchmark reports record the engine under.
     pub fn label(self) -> &'static str {
         match self {
@@ -1944,63 +1938,16 @@ impl Profiler {
     }
 }
 
-/// Simulates `spec` under `sim`, computing any needed sharing profile
-/// internally. Prefer [`run_with_profile`] when sweeping many designs over
-/// one workload, so the profile is computed once.
+/// Simulates `spec` under `sim` with the event-skipping engine, computing
+/// any needed sharing profile internally.
 ///
 /// # Panics
 ///
 /// Panics on any [`SimError`] — invalid configuration, watchdog stall, or
-/// cycle-cap exhaustion. Use [`try_run`] for a recoverable error instead.
+/// cycle-cap exhaustion. Use [`try_run_with_profile_mode`] for a
+/// recoverable error, an explicit engine, or a shared sharing profile.
 pub fn run(spec: &WorkloadSpec, sim: &SimConfig) -> SimResult {
-    run_with_profile(spec, sim, None)
-}
-
-/// Fallible variant of [`run`].
-pub fn try_run(spec: &WorkloadSpec, sim: &SimConfig) -> Result<SimResult, SimError> {
-    try_run_with_profile(spec, sim, None)
-}
-
-/// Simulates `spec` under `sim`, reusing `profile` when provided.
-///
-/// The profile must have been collected with the same workload, scaled
-/// config and GPU count (as [`profile_workload`] produces).
-///
-/// # Panics
-///
-/// Panics on any [`SimError`]; use [`try_run_with_profile`] to recover.
-pub fn run_with_profile(
-    spec: &WorkloadSpec,
-    sim: &SimConfig,
-    profile: Option<&SharingProfile>,
-) -> SimResult {
-    // audit:allow(tick-path-panics) infallible entry point wraps SimError into a panic by design
-    try_run_with_profile(spec, sim, profile).unwrap_or_else(|e| panic!("simulation failed: {e}"))
-}
-
-/// Fallible variant of [`run_with_profile`].
-pub fn try_run_with_profile(
-    spec: &WorkloadSpec,
-    sim: &SimConfig,
-    profile: Option<&SharingProfile>,
-) -> Result<SimResult, SimError> {
-    try_run_with_profile_mode(spec, sim, profile, EngineMode::from_env())
-}
-
-/// [`run_with_profile`] with an explicit [`EngineMode`], primarily for
-/// verifying that the two engines agree.
-///
-/// # Panics
-///
-/// Panics on any [`SimError`]; use [`try_run_with_profile_mode`] to
-/// recover.
-pub fn run_with_profile_mode(
-    spec: &WorkloadSpec,
-    sim: &SimConfig,
-    profile: Option<&SharingProfile>,
-    mode: EngineMode,
-) -> SimResult {
-    try_run_with_profile_mode(spec, sim, profile, mode)
+    try_run_with_profile_mode(spec, sim, None, EngineMode::EventSkip)
         // audit:allow(tick-path-panics) infallible entry point wraps SimError into a panic by design
         .unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
@@ -2011,28 +1958,18 @@ pub fn run_with_profile_mode(
 /// [`SimError::WatchdogStall`] with a component-occupancy dump, and
 /// exceeding `max_cycles` reports [`SimError::ResourceExhausted`] instead
 /// of a partially-filled result.
+///
+/// `profile`, when given, must have been collected with the same
+/// workload, scaled config and GPU count (as [`profile_workload`]
+/// produces); sweeping many designs over one workload can then share it.
+/// `mode` picks the engine; both produce bit-identical results. Every
+/// observation the config asks for — interval telemetry, the stall
+/// profile, the event trace — comes back on the [`SimResult`].
 pub fn try_run_with_profile_mode(
     spec: &WorkloadSpec,
     sim: &SimConfig,
     profile: Option<&SharingProfile>,
     mode: EngineMode,
-) -> Result<SimResult, SimError> {
-    try_run_observed(spec, sim, profile, mode, &mut NullTraceSink)
-}
-
-/// [`try_run_with_profile_mode`] plus structured event tracing: engine
-/// events (kernel launch/drain spans per GPU, coherence broadcasts, epoch
-/// invalidations, page migrations, watchdog trips) are delivered to
-/// `sink`. With a disabled sink ([`NullTraceSink`]) no event is ever
-/// constructed, so tracing is free when off. Interval telemetry is
-/// controlled independently via `SimConfig::telemetry_interval` /
-/// `CARVE_TELEMETRY_INTERVAL` and lands in `SimResult::timeline`.
-pub fn try_run_observed(
-    spec: &WorkloadSpec,
-    sim: &SimConfig,
-    profile: Option<&SharingProfile>,
-    mode: EngineMode,
-    sink: &mut dyn TraceSink,
 ) -> Result<SimResult, SimError> {
     sim.validate()?;
     let num_gpus = sim.design.num_gpus(&sim.cfg);
@@ -2054,17 +1991,11 @@ pub fn try_run_observed(
     };
     let mut sys = System::build(spec, sim, profile);
     let mut now = 0u64;
-    let mut watchdog = match sim.watchdog_cycles {
-        Some(n) => Watchdog::with_budget((n != 0).then_some(n)),
-        None => Watchdog::from_env(),
-    };
-    // Telemetry: `Some(0)` disables, explicit `Some(n)` samples every `n`
-    // cycles, `None` defers to CARVE_TELEMETRY_INTERVAL (default off).
-    let telemetry_interval = match sim.telemetry_interval {
-        Some(0) => None,
-        Some(n) => Some(n),
-        None => telemetry::interval_from_env(),
-    };
+    let budget = sim.watchdog_cycles.unwrap_or(DEFAULT_WATCHDOG_CYCLES);
+    let mut watchdog = Watchdog::with_budget((budget != 0).then_some(budget));
+    // Telemetry: `None` or `Some(0)` leaves sampling off, `Some(n)`
+    // samples every `n` cycles.
+    let telemetry_interval = sim.telemetry_interval.filter(|&n| n != 0);
     let mut sampler = telemetry_interval.map(|i| Sampler::new(i, num_gpus));
     // Cycle profiler: same gating discipline as the sampler — one Option
     // check per tick when off, read-only over the system when on. Interval
@@ -2075,31 +2006,21 @@ pub fn try_run_observed(
     if profiler.is_some() {
         sys.enable_profiler_tracking();
     }
-    // Sanitizer: `Some(true)` enables, `Some(false)` disables, `None`
-    // defers to CARVE_SANITIZE (any value but empty or "0" enables).
-    let sanitize = match sim.sanitize {
-        Some(on) => on,
-        None => std::env::var_os("CARVE_SANITIZE").is_some_and(|v| !v.is_empty() && v != "0"),
-    };
-    if sanitize {
+    if sim.sanitize == Some(true) {
         sys.enable_sanitizer();
     }
-    // Event tracing is free when the sink is disabled: no TraceEvent is
-    // ever constructed, and the per-tick diff checks are skipped.
-    let tracing = sink.enabled();
+    // Event tracing is free when off: no TraceEvent is ever constructed,
+    // and the per-tick diff checks are skipped.
+    let tracing = sim.event_trace;
+    let mut trace = Vec::new();
     let mut traced_broadcasts = 0u64;
     let mut traced_dir_invals = 0u64;
     let mut traced_migrations = 0u64;
-    // Hoisted out of the cycle loop: `env::var_os` walks the whole
-    // environment on every call.
-    let trace_tail = std::env::var_os("CARVE_TRACE_TAIL").is_some();
-    let trace_progress = std::env::var_os("CARVE_TRACE_PROGRESS").is_some();
-    let trace_kernels = std::env::var_os("CARVE_TRACE_KERNELS").is_some();
     for kernel in 0..spec.shape.kernels {
         if kernel > 0 {
             sys.kernel_boundary(Cycle(now));
             if tracing {
-                sink.record(
+                trace.push(
                     TraceEvent::instant("kernel boundary", TraceEvent::SYSTEM_TRACK, now)
                         .arg("kernel", kernel as u64),
                 );
@@ -2108,7 +2029,7 @@ pub fn try_run_observed(
                     .as_ref()
                     .is_some_and(|c| c.policy() == CoherencePolicy::Software)
                 {
-                    sink.record(TraceEvent::instant(
+                    trace.push(TraceEvent::instant(
                         "epoch invalidation",
                         TraceEvent::SYSTEM_TRACK,
                         now,
@@ -2121,12 +2042,10 @@ pub fn try_run_observed(
         // The launch jump crosses cycles no component could act in; reset
         // the no-progress baseline so it is not counted against the budget.
         watchdog.rebase(Cycle(now), sys.progress_signature());
-        let kstart = now;
-        let mut sms_done_at = 0u64;
         let mut gpu_drained = vec![false; if tracing { num_gpus } else { 0 }];
         if tracing {
             for g in 0..num_gpus {
-                sink.record(TraceEvent::begin(format!("kernel {kernel}"), g as u32, now));
+                trace.push(TraceEvent::begin(format!("kernel {kernel}"), g as u32, now));
             }
         }
         loop {
@@ -2158,25 +2077,18 @@ pub fn try_run_observed(
                 if let Some(p) = profiler.as_mut() {
                     p.on_tick(now, &sys);
                 }
-                if sms_done_at == 0 && sys.cores.iter().all(|c| c.sms_done()) {
-                    sms_done_at = now;
-                }
                 if tracing {
                     for (g, drained) in gpu_drained.iter_mut().enumerate() {
                         if !*drained && sys.cores[g].sms_done() {
                             *drained = true;
-                            sink.record(TraceEvent::end(format!("kernel {kernel}"), g as u32, now));
-                            sink.record(TraceEvent::begin(
-                                format!("drain {kernel}"),
-                                g as u32,
-                                now,
-                            ));
+                            trace.push(TraceEvent::end(format!("kernel {kernel}"), g as u32, now));
+                            trace.push(TraceEvent::begin(format!("drain {kernel}"), g as u32, now));
                         }
                     }
                     if let Some(c) = &sys.carve {
                         let b = c.total_broadcasts();
                         if b > traced_broadcasts {
-                            sink.record(
+                            trace.push(
                                 TraceEvent::instant(
                                     "coherence broadcast",
                                     TraceEvent::SYSTEM_TRACK,
@@ -2188,7 +2100,7 @@ pub fn try_run_observed(
                         }
                         let d = c.total_directory_invalidates();
                         if d > traced_dir_invals {
-                            sink.record(
+                            trace.push(
                                 TraceEvent::instant(
                                     "directory invalidate",
                                     TraceEvent::SYSTEM_TRACK,
@@ -2200,7 +2112,7 @@ pub fn try_run_observed(
                         }
                     }
                     if sys.traffic.migrations > traced_migrations {
-                        sink.record(
+                        trace.push(
                             TraceEvent::instant("page migration", TraceEvent::SYSTEM_TRACK, now)
                                 .arg("count", sys.traffic.migrations - traced_migrations),
                         );
@@ -2213,7 +2125,7 @@ pub fn try_run_observed(
             }
             if let Err(stall) = watchdog.check(Cycle(now), || sys.progress_signature()) {
                 if tracing {
-                    sink.record(
+                    trace.push(
                         TraceEvent::instant("watchdog trip", TraceEvent::SYSTEM_TRACK, now)
                             .arg("stalled_since", stall.stalled_since)
                             .arg("budget", stall.budget),
@@ -2226,19 +2138,6 @@ pub fn try_run_observed(
                     diagnostic: sys.stall_diagnostic(Cycle(now)),
                 });
             }
-            if trace_tail && sms_done_at > 0 && (now - sms_done_at) % 2000 == 1999 {
-                eprintln!(
-                    "      tail+{}: pending={} delayed={} dram_idle={} net_idle={} cores_idle={} dram_retry={} ext_retry={}",
-                    now - sms_done_at,
-                    sys.pending.len(),
-                    sys.delayed.len(),
-                    sys.drams.iter().all(DramModel::is_idle),
-                    sys.net.is_idle(),
-                    sys.cores.iter().all(GpuCore::is_idle),
-                    sys.dram_retry.iter().map(|q| q.len()).sum::<usize>(),
-                    sys.ext_retry.iter().map(|q| q.len()).sum::<usize>(),
-                );
-            }
             let prev = now;
             now = match mode {
                 EngineMode::Step => now + 1,
@@ -2248,25 +2147,7 @@ pub fn try_run_observed(
                     .unwrap_or(now + 1),
             };
             debug_assert!(now > prev, "time must advance");
-            if trace_progress && now / 1_000_000 != prev / 1_000_000 {
-                let instrs: u64 = sys.cores.iter().map(|c| c.stats().instructions).sum();
-                eprintln!(
-                    "    @{now}: {instrs} instrs, pending={}, migrations={}, cores_sms_done={}",
-                    sys.pending.len(),
-                    sys.traffic.migrations,
-                    sys.cores.iter().all(|c| c.sms_done()),
-                );
-            }
             if now >= sim.max_cycles {
-                // Clamp so an event-skip hop past the cap reports the same
-                // cycle count the stepping engine would.
-                now = sim.max_cycles;
-                if trace_progress {
-                    eprintln!(
-                        "    cycle cap hit at {now}; occupancy:\n{}",
-                        sys.stall_diagnostic(Cycle(now))
-                    );
-                }
                 return Err(SimError::ResourceExhausted {
                     what: format!(
                         "simulated cycles for {} on {} (kernel {} of {} still running)",
@@ -2288,15 +2169,8 @@ pub fn try_run_observed(
                 } else {
                     format!("kernel {kernel}")
                 };
-                sink.record(TraceEvent::end(name, g as u32, now));
+                trace.push(TraceEvent::end(name, g as u32, now));
             }
-        }
-        if trace_kernels {
-            eprintln!(
-                "    kernel {kernel}: {} cycles (drain tail {})",
-                now - kstart,
-                now.saturating_sub(sms_done_at)
-            );
         }
     }
     if let Some(err) = sys.sanitizer_finish(Cycle(now)) {
@@ -2377,6 +2251,7 @@ pub fn try_run_observed(
         completed: true,
         timeline,
         profile: cycle_profile,
+        trace: tracing.then_some(trace),
         recovery: sys.recovery_snapshot(Cycle(now)),
     };
     Ok(result)
@@ -2408,6 +2283,10 @@ mod tests {
         let spec = quick_spec(name);
         let sim = SimConfig::with_cfg(design, quick_cfg());
         run(&spec, &sim)
+    }
+
+    fn try_run(spec: &WorkloadSpec, sim: &SimConfig) -> Result<SimResult, SimError> {
+        try_run_with_profile_mode(spec, sim, None, EngineMode::EventSkip)
     }
 
     #[test]
@@ -2698,15 +2577,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_gets_balanced_spans_without_changing_results() {
+    fn event_trace_has_balanced_spans_without_changing_results() {
         let spec = quick_spec("Lulesh");
         let mut sim = SimConfig::with_cfg(Design::CarveSwc, quick_cfg());
         sim.telemetry_interval = Some(0);
         let untraced = try_run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip).unwrap();
-        let mut sink = sim_core::JsonTraceSink::new();
-        let traced = try_run_observed(&spec, &sim, None, EngineMode::EventSkip, &mut sink).unwrap();
+        assert!(untraced.trace.is_none());
+        sim.event_trace = true;
+        let traced = try_run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip).unwrap();
         assert_eq!(untraced.encode_journal_line(), traced.encode_journal_line());
-        let events = sink.events();
+        let events = traced.trace.expect("tracing was enabled");
         assert!(!events.is_empty());
         let begins = events
             .iter()
@@ -2727,8 +2607,6 @@ mod tests {
         );
         // Timestamps are monotone non-decreasing in record order.
         assert!(events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-        let json = sink.to_json_string();
-        assert!(json.contains("\"traceEvents\""));
     }
 
     #[test]
@@ -2865,8 +2743,8 @@ mod tests {
     fn skip_engine_matches_step_engine_on_a_quick_run() {
         let spec = quick_spec("Lulesh");
         let sim = SimConfig::with_cfg(Design::CarveHwc, quick_cfg());
-        let skip = run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip);
-        let step = run_with_profile_mode(&spec, &sim, None, EngineMode::Step);
+        let skip = try_run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip).unwrap();
+        let step = try_run_with_profile_mode(&spec, &sim, None, EngineMode::Step).unwrap();
         assert_eq!(skip.cycles, step.cycles);
         assert_eq!(skip.instructions, step.instructions);
         assert_eq!(skip.remote_serviced, step.remote_serviced);

@@ -11,13 +11,25 @@
 //! cargo run --release -p carve-system --example coherence_study
 //! ```
 
-use carve_system::{profile_workload, run_with_profile, workloads, Design, SimConfig};
+use carve_system::{
+    profile_workload, try_run_with_profile_mode, workloads, Design, EngineMode, SimConfig,
+};
 
 fn main() {
     let spec = workloads::by_name("HPGMG").expect("known workload");
     let cfg = SimConfig::new(Design::CarveNc).cfg;
     let profile = profile_workload(&spec, &cfg, cfg.num_gpus);
-    let ideal = run_with_profile(&spec, &SimConfig::new(Design::Ideal), Some(&profile));
+    // One sharing profile serves every design of the sweep.
+    let run = |design| {
+        try_run_with_profile_mode(
+            &spec,
+            &SimConfig::new(design),
+            Some(&profile),
+            EngineMode::EventSkip,
+        )
+        .expect("simulation")
+    };
+    let ideal = run(Design::Ideal);
 
     println!(
         "{} runs {} kernels; the RDC only pays off if its contents survive\n\
@@ -29,7 +41,7 @@ fn main() {
         "design", "cycles", "vs-ideal", "RDC hits", "stale misses", "invalidates", "broadcasts"
     );
     for design in [Design::CarveSwc, Design::CarveHwc, Design::CarveNc] {
-        let r = run_with_profile(&spec, &SimConfig::new(design), Some(&profile));
+        let r = run(design);
         println!(
             "{:>12} {:>9} {:>9.2} {:>10} {:>12} {:>12} {:>12}",
             r.design.label(),

@@ -9,7 +9,9 @@
 //! cargo run --release -p carve-system --example custom_workload
 //! ```
 
-use carve_system::{profile_workload, run_with_profile, Design, ScaledConfig, SimConfig};
+use carve_system::{
+    profile_workload, try_run_with_profile_mode, Design, EngineMode, ScaledConfig, SimConfig,
+};
 use carve_trace::{KernelShape, Pattern, RegionSpec, Sharing, Suite, WorkloadSpec};
 use sim_core::units::MIB;
 
@@ -92,7 +94,10 @@ fn main() {
         Design::Ideal,
     ] {
         let sim = SimConfig::new(design);
-        results.push(run_with_profile(&spec, &sim, Some(&profile)));
+        results.push(
+            try_run_with_profile_mode(&spec, &sim, Some(&profile), EngineMode::EventSkip)
+                .expect("simulation"),
+        );
     }
     let ideal_cycles = results.last().expect("ideal run").cycles;
     println!("\ndesign comparison (relative to ideal):");

@@ -10,7 +10,9 @@
 //! cargo run --release -p carve-system --example rdc_sizing
 //! ```
 
-use carve_system::{profile_workload, run_with_profile, workloads, Design, SimConfig};
+use carve_system::{
+    profile_workload, try_run_with_profile_mode, workloads, Design, EngineMode, SimConfig,
+};
 use sim_core::units::fmt_bytes;
 
 fn main() {
@@ -19,7 +21,12 @@ fn main() {
     let cfg = &base.cfg;
     let profile = profile_workload(&spec, cfg, cfg.num_gpus);
 
-    let baseline = run_with_profile(&spec, &SimConfig::new(Design::NumaGpu), Some(&profile));
+    // One sharing profile serves every point of the sweep.
+    let run = |sim: &SimConfig| {
+        try_run_with_profile_mode(&spec, sim, Some(&profile), EngineMode::EventSkip)
+            .expect("simulation")
+    };
+    let baseline = run(&SimConfig::new(Design::NumaGpu));
     println!(
         "XSBench on NUMA-GPU without CARVE: {} cycles, {:.1}% remote\n",
         baseline.cycles,
@@ -37,7 +44,7 @@ fn main() {
         let mut sim = SimConfig::new(Design::CarveHwc);
         let rdc = paper_bytes / sim.cfg.capacity_scale;
         sim.rdc_bytes = Some(rdc);
-        let r = run_with_profile(&spec, &sim, Some(&profile));
+        let r = run(&sim);
         println!(
             "{:>14} {:>10} {:>9.2}% {:>9} {:>8.2}x {:>8.1}%",
             fmt_bytes(rdc),

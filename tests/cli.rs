@@ -95,6 +95,27 @@ fn sanitized_run_succeeds_and_matches_plain_run() {
 }
 
 #[test]
+fn stepping_engine_prints_the_same_report() {
+    // `CARVE_STEP` selects the step-by-1 engine, which must agree with
+    // event skipping bit for bit, so the printed report is identical.
+    let run = |step: bool| {
+        let mut cmd = carve_sim(&["run", "Euler", "--design", "numa", "--gpus", QUICK_GPUS]);
+        cmd.env_remove("CARVE_STEP");
+        if step {
+            cmd.env("CARVE_STEP", "1");
+        }
+        let out = cmd.output().expect("spawn carve-sim");
+        assert!(
+            out.status.success(),
+            "step={step} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert_eq!(run(false), run(true));
+}
+
+#[test]
 fn partitioning_outage_exits_1_naming_the_severed_pair() {
     // On a 2-GPU mesh, edge e0 is the only gpu0->gpu1 path, so killing it
     // severs the fabric: a clean FabricPartitioned failure (exit 1), not

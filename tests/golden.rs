@@ -27,7 +27,9 @@
 //!
 //! and audit the diff line by line before committing.
 
-use carve_system::{run_with_profile_mode, workloads, Design, EngineMode, ScaledConfig, SimConfig};
+use carve_system::{
+    try_run_with_profile_mode, workloads, Design, EngineMode, ScaledConfig, SimConfig, SimResult,
+};
 use carve_trace::WorkloadSpec;
 use std::path::PathBuf;
 
@@ -117,11 +119,16 @@ fn all20_points() -> Vec<(String, WorkloadSpec, SimConfig)> {
         .collect()
 }
 
+fn run_mode(spec: &WorkloadSpec, sim: &SimConfig, mode: EngineMode) -> SimResult {
+    try_run_with_profile_mode(spec, sim, None, mode)
+        .unwrap_or_else(|e| panic!("{} under {}: {e}", spec.name, sim.design.label()))
+}
+
 fn encode(points: &[(String, WorkloadSpec, SimConfig)], mode: EngineMode) -> Vec<String> {
     points
         .iter()
         .map(|(key, spec, sim)| {
-            let r = run_with_profile_mode(spec, sim, None, mode);
+            let r = run_mode(spec, sim, mode);
             format!("{key}|{}", r.encode_journal_line())
         })
         .collect()
@@ -203,8 +210,8 @@ fn full_shape_sssp_migrate_engines_agree() {
     let spec = workloads::by_name("SSSP").expect("known workload");
     let mut sim = SimConfig::new(Design::NumaGpuMigrate);
     sim.telemetry_interval = Some(0);
-    let skip = run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip);
-    let step = run_with_profile_mode(&spec, &sim, None, EngineMode::Step);
+    let skip = run_mode(&spec, &sim, EngineMode::EventSkip);
+    let step = run_mode(&spec, &sim, EngineMode::Step);
     assert!(skip.completed && step.completed, "hit the cycle cap");
     assert_eq!(skip.encode_journal_line(), step.encode_journal_line());
 }

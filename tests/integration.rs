@@ -3,7 +3,8 @@
 //! and checking end-to-end invariants the figures depend on.
 
 use carve_system::{
-    profile_workload, run, run_with_profile, workloads, Design, ScaledConfig, SimConfig,
+    profile_workload, run, try_run_with_profile_mode, workloads, Design, EngineMode, ScaledConfig,
+    SimConfig,
 };
 use carve_trace::WorkloadSpec;
 
@@ -124,7 +125,8 @@ fn profile_reuse_matches_internal_profiling() {
     let cfg = tiny_cfg();
     let profile = profile_workload(&spec, &cfg, cfg.num_gpus);
     let sim = tiny_sim(Design::NumaGpuRepl);
-    let a = run_with_profile(&spec, &sim, Some(&profile));
+    let a = try_run_with_profile_mode(&spec, &sim, Some(&profile), EngineMode::EventSkip)
+        .expect("run with a shared profile");
     let b = run(&spec, &sim);
     assert_eq!(a.cycles, b.cycles);
 }
@@ -340,7 +342,7 @@ fn watchdog_never_false_positives_across_all_workloads() {
         spec.shape.instrs_per_warp = 40;
         let mut sim = tiny_sim(Design::CarveHwc);
         sim.watchdog_cycles = Some(50_000);
-        let r = carve_system::try_run(&spec, &sim);
+        let r = try_run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip);
         assert!(
             r.is_ok(),
             "{} tripped the watchdog: {}",
@@ -355,7 +357,7 @@ fn invalid_config_surfaces_as_structured_error() {
     let spec = tiny("Lulesh");
     let mut sim = tiny_sim(Design::CarveHwc);
     sim.rdc_bytes = Some(0);
-    match carve_system::try_run(&spec, &sim) {
+    match try_run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip) {
         Err(carve_system::SimError::ConfigInvalid { message }) => {
             assert!(
                 message.contains("rdc"),

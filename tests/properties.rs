@@ -10,7 +10,7 @@ use carve_cache::sram::{AccessKind, SetAssocCache};
 use carve_runtime::page_table::{PageTable, PlacementPolicy, Replication};
 use carve_runtime::sched::{cta_range_of_gpu, gpu_of_cta};
 use carve_runtime::sharing::SharingProfile;
-use carve_system::sim::{run_with_profile_mode, EngineMode};
+use carve_system::sim::{try_run_with_profile_mode, EngineMode};
 use carve_system::{workloads, Design, ScaledConfig, SimConfig};
 use carve_trace::{Op, WorkloadSpec};
 use sim_core::rng::Stream;
@@ -389,8 +389,11 @@ fn event_skipping_engine_matches_stepping_engine() {
     ));
 
     for (ctx, spec, sim) in &points {
-        let skip = run_with_profile_mode(spec, sim, None, EngineMode::EventSkip);
-        let step = run_with_profile_mode(spec, sim, None, EngineMode::Step);
+        let run = |mode| {
+            try_run_with_profile_mode(spec, sim, None, mode)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+        };
+        let (skip, step) = (run(EngineMode::EventSkip), run(EngineMode::Step));
         assert!(step.completed && skip.completed, "{ctx}: hit cycle cap");
         assert_eq!(
             skip.encode_journal_line(),
