@@ -161,6 +161,7 @@ impl fmt::Display for Diagnostic {
 /// and panic discipline are load-bearing.
 fn is_tick_path(rel: &str) -> bool {
     rel == "crates/system/src/sim.rs"
+        || rel == "crates/system/src/observe.rs"
         || rel == "crates/gpu/src/sm.rs"
         || rel == "crates/dram/src/lib.rs"
         || rel == "crates/noc/src/lib.rs"

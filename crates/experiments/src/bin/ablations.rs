@@ -67,8 +67,7 @@ fn main() {
     sysmem_rdc_ablation(&mut c).emit(c.results_dir());
     launch_overhead_ablation(&mut c).emit(c.results_dir());
     eprintln!("({} simulation runs)", c.cached_runs());
-    c.report_timeline("ablations");
-    c.report_profile("ablations");
+    c.report_sidecars("ablations");
 }
 
 /// Section V-E: broadcast GPU-VI vs a sharer directory at the default

@@ -84,8 +84,7 @@ fn main() {
         c.write_bench_json(&path).expect("write BENCH_engine.json");
         eprintln!("wrote {}", path.display());
     }
-    c.report_timeline("all-figures");
-    c.report_profile("all-figures");
+    c.report_sidecars("all-figures");
     eprintln!(
         "campaign complete: {} simulation runs in {:.0}s",
         c.cached_runs(),

@@ -93,8 +93,7 @@ fn main() {
             eprintln!("warning: non-partition failure in sweep: {f}");
         }
     }
-    c.report_timeline("resilience");
-    c.report_profile("resilience");
+    c.report_sidecars("resilience");
 }
 
 /// Per-cell slowdown relative to the same design's fault-free run.

@@ -121,8 +121,7 @@ fn main() {
     rdc_sizing(&mut c).emit(c.results_dir());
     coherence_scaling(&mut c).emit(c.results_dir());
     eprintln!("({} simulation runs)", c.cached_runs());
-    c.report_timeline("scaling");
-    c.report_profile("scaling");
+    c.report_sidecars("scaling");
 }
 
 /// Geomean CARVE-HWC speedup over one GPU, per machine size × fabric.

@@ -199,15 +199,21 @@ pub struct Campaign {
     /// fails, so they must not split the cache or the journal.
     settings: Settings,
     journal: Option<Journal>,
-    /// Timelines collected this process, in point-commit order (which is
-    /// the deduplicated input order of the grids — deterministic across
-    /// `CARVE_THREADS`). Journal-resumed and cache-hit points contribute
-    /// nothing here: only points actually simulated this run carry a
-    /// timeline.
-    timelines: Vec<(String, String, Timeline)>,
-    /// Stall breakdowns collected this process, in point-commit order
-    /// (same determinism contract as `timelines`).
-    stall_profiles: Vec<(String, String, ProfileReport)>,
+    /// Timelines and stall breakdowns collected this process, in
+    /// point-commit order (which is the deduplicated input order of the
+    /// grids — deterministic across `CARVE_THREADS`). Journal-resumed and
+    /// cache-hit points contribute nothing here: only points actually
+    /// simulated this run carry observations.
+    observations: Vec<Observation>,
+}
+
+/// What one freshly simulated point observed, keyed like the journal.
+#[derive(Debug, Clone, PartialEq)]
+struct Observation {
+    workload: String,
+    config: String,
+    timeline: Option<Timeline>,
+    profile: Option<ProfileReport>,
 }
 
 /// The memoization key of a campaign point: every knob that changes the
@@ -319,8 +325,7 @@ impl Campaign {
             base_cfg: ScaledConfig::default(),
             settings,
             journal: None,
-            timelines: Vec::new(),
-            stall_profiles: Vec::new(),
+            observations: Vec::new(),
         }
     }
 
@@ -359,105 +364,79 @@ impl Campaign {
     }
 
     /// Records a freshly simulated point's timeline and stall breakdown,
-    /// if the point produced them.
-    fn collect_timeline(&mut self, key: &(String, String), r: &SimResult) {
-        if let Some(tl) = &r.timeline {
-            self.timelines
-                .push((key.0.clone(), key.1.clone(), tl.clone()));
-        }
-        if let Some(p) = &r.profile {
-            self.stall_profiles
-                .push((key.0.clone(), key.1.clone(), p.clone()));
+    /// if the point produced either.
+    fn collect_observation(&mut self, key: &(String, String), r: &SimResult) {
+        if r.timeline.is_some() || r.profile.is_some() {
+            self.observations.push(Observation {
+                workload: key.0.clone(),
+                config: key.1.clone(),
+                timeline: r.timeline.clone(),
+                profile: r.profile.clone(),
+            });
         }
     }
 
-    /// Writes every timeline collected this process to
-    /// `<results_dir>/<name>.timeline.csv`: one row per (point, interval,
-    /// GPU), prefixed with the workload and config-key columns so rows
-    /// from different points stay distinguishable. Rows appear in
-    /// point-commit order, which is deterministic across thread counts.
-    /// Returns the path written, or `None` when no timelines were
-    /// collected.
-    pub fn write_timeline_csv(&self, name: &str) -> std::io::Result<Option<PathBuf>> {
-        if self.timelines.is_empty() {
-            return Ok(None);
-        }
+    /// Writes the sidecars of the points simulated this process next to
+    /// the tables, rows in point-commit order (deterministic across thread
+    /// counts):
+    ///
+    /// * `<name>.timeline.csv` when any point sampled a timeline: one row
+    ///   per (point, interval, GPU), prefixed with the workload and
+    ///   config-key columns so rows from different points stay
+    ///   distinguishable;
+    /// * `<name>.profile.tsv` when any point was profiled: one
+    ///   `workload\tconfig\t<compact profile>` line per point, keyed
+    ///   exactly like the journal so `carve-report` can join the two.
+    ///
+    /// Returns what was written, as `("timeline" | "profile", path)`.
+    pub fn write_sidecars(&self, name: &str) -> std::io::Result<Vec<(&'static str, PathBuf)>> {
         let dir = self.results_dir();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.timeline.csv"));
-        self.write_timeline_csv_to(&path)?;
-        Ok(Some(path))
-    }
-
-    /// [`Campaign::write_timeline_csv`] with an explicit file path
-    /// (writes a header-only file when no timelines were collected).
-    pub fn write_timeline_csv_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(out, "workload,config,{}", Timeline::CSV_HEADER)?;
-        for (workload, config, tl) in &self.timelines {
-            for rec in &tl.records {
-                writeln!(out, "{workload},{config},{}", rec.csv_line())?;
+        let mut written = Vec::new();
+        if self.observations.iter().any(|o| o.timeline.is_some()) {
+            std::fs::create_dir_all(dir)?;
+            let path = dir.join(format!("{name}.timeline.csv"));
+            let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
+            writeln!(out, "workload,config,{}", Timeline::CSV_HEADER)?;
+            for o in &self.observations {
+                for rec in o.timeline.iter().flat_map(|tl| &tl.records) {
+                    writeln!(out, "{},{},{}", o.workload, o.config, rec.csv_line())?;
+                }
             }
+            out.flush()?;
+            written.push(("timeline", path));
         }
-        out.flush()
+        if self.observations.iter().any(|o| o.profile.is_some()) {
+            std::fs::create_dir_all(dir)?;
+            let path = dir.join(format!("{name}.profile.tsv"));
+            let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
+            for o in &self.observations {
+                if let Some(p) = &o.profile {
+                    writeln!(out, "{}\t{}\t{}", o.workload, o.config, p.encode_compact())?;
+                }
+            }
+            out.flush()?;
+            written.push(("profile", path));
+        }
+        Ok(written)
     }
 
-    /// Writes every stall breakdown collected this process to
-    /// `<results_dir>/<name>.profile.tsv`: one line per point,
-    /// `workload\tconfig\t<compact profile>` keyed exactly like the
-    /// journal so `carve-report` can join the two. Returns the path, or
-    /// `None` when nothing was collected.
-    pub fn write_profile_tsv(&self, name: &str) -> std::io::Result<Option<PathBuf>> {
-        if self.stall_profiles.is_empty() {
-            return Ok(None);
-        }
-        let dir = self.results_dir();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.profile.tsv"));
-        self.write_profile_tsv_to(&path)?;
-        Ok(Some(path))
-    }
-
-    /// [`Campaign::write_profile_tsv`] with an explicit file path.
-    pub fn write_profile_tsv_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        for (workload, config, p) in &self.stall_profiles {
-            writeln!(out, "{workload}\t{config}\t{}", p.encode_compact())?;
-        }
-        out.flush()
-    }
-
-    /// [`Campaign::write_profile_tsv`] for binaries: reports the path (or
+    /// [`Campaign::write_sidecars`] for binaries: reports the paths (or
     /// the error) on stderr and never fails the campaign.
-    pub fn report_profile(&self, name: &str) {
-        match self.write_profile_tsv(name) {
-            Ok(Some(path)) => eprintln!("profile: {}", path.display()),
-            Ok(None) => {
-                if self.settings.profile {
+    pub fn report_sidecars(&self, name: &str) {
+        match self.write_sidecars(name) {
+            Ok(written) => {
+                for (what, path) in &written {
+                    eprintln!("{what}: {}", path.display());
+                }
+                let asked = self.settings.telemetry_interval.is_some() || self.settings.profile;
+                if written.is_empty() && asked {
                     eprintln!(
-                        "profile: no points simulated this run (journal-resumed \
-                         points carry no breakdown)"
+                        "sidecars: no points simulated this run (journal-resumed \
+                         points carry no timeline or breakdown)"
                     );
                 }
             }
-            Err(e) => eprintln!("warning: could not write profile tsv: {e}"),
-        }
-    }
-
-    /// [`Campaign::write_timeline_csv`] for binaries: reports the path
-    /// (or the error) on stderr and never fails the campaign.
-    pub fn report_timeline(&self, name: &str) {
-        match self.write_timeline_csv(name) {
-            Ok(Some(path)) => eprintln!("timeline: {}", path.display()),
-            Ok(None) => {
-                if self.settings.telemetry_interval.is_some() {
-                    eprintln!(
-                        "timeline: no points simulated this run (journal-resumed \
-                         points carry no timeline)"
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: could not write timeline csv: {e}"),
+            Err(e) => eprintln!("warning: could not write sidecars: {e}"),
         }
     }
 
@@ -642,7 +621,7 @@ impl Campaign {
                 if let Some(j) = &self.journal {
                     j.append(&ok_line(&key.1, &r));
                 }
-                self.collect_timeline(&key, &r);
+                self.collect_observation(&key, &r);
                 self.timings.push(PointTiming {
                     workload: key.0.clone(),
                     config: key.1.clone(),
@@ -754,7 +733,7 @@ impl Campaign {
         for (key, outcome) in outcomes {
             match outcome {
                 Ok((r, millis)) => {
-                    self.collect_timeline(&key, &r);
+                    self.collect_observation(&key, &r);
                     self.timings.push(PointTiming {
                         workload: key.0.clone(),
                         config: key.1.clone(),
@@ -1186,6 +1165,25 @@ mod tests {
         }
     }
 
+    /// The timelines collected so far, in point-commit order.
+    fn timelines(c: &Campaign) -> Vec<(&str, &Timeline)> {
+        c.observations
+            .iter()
+            .filter_map(|o| Some((o.workload.as_str(), o.timeline.as_ref()?)))
+            .collect()
+    }
+
+    /// Two workloads × {NUMA-GPU, CARVE-HWC}.
+    fn small_grid(c: &Campaign) -> Vec<(WorkloadSpec, SimConfig)> {
+        let mut points = Vec::new();
+        for spec in c.specs().iter().take(2) {
+            for design in [Design::NumaGpu, Design::CarveHwc] {
+                points.push((spec.clone(), SimConfig::new(design)));
+            }
+        }
+        points
+    }
+
     #[test]
     fn timelines_collect_in_input_order_without_perturbing_results() {
         let mut plain = quick_campaign();
@@ -1193,13 +1191,7 @@ mod tests {
         seq.settings.telemetry_interval = Some(700);
         let mut par_c = quick_campaign();
         par_c.settings.telemetry_interval = Some(700);
-        let specs = plain.specs();
-        let mut points: Vec<(WorkloadSpec, SimConfig)> = Vec::new();
-        for spec in specs.iter().take(2) {
-            for design in [Design::NumaGpu, Design::CarveHwc] {
-                points.push((spec.clone(), SimConfig::new(design)));
-            }
-        }
+        let points = small_grid(&plain);
         let fanned = par_c.try_run_parallel(&points);
         for (i, (spec, sim)) in points.iter().enumerate() {
             let expect = plain.result(spec, sim);
@@ -1211,10 +1203,10 @@ mod tests {
         }
         // Fan-out and sequential execution collect the same rows in the
         // same order — the timeline CSV is thread-count-independent.
-        assert_eq!(par_c.timelines, seq.timelines);
-        assert_eq!(par_c.timelines.len(), points.len());
-        for ((w, _cfg, tl), (spec, sim)) in par_c.timelines.iter().zip(&points) {
-            assert_eq!(w.as_str(), spec.name);
+        assert_eq!(par_c.observations, seq.observations);
+        assert_eq!(timelines(&par_c).len(), points.len());
+        for ((w, tl), (spec, sim)) in timelines(&par_c).into_iter().zip(&points) {
+            assert_eq!(w, spec.name);
             assert_eq!(tl.interval, 700);
             assert_eq!(
                 tl.total_instructions(),
@@ -1222,16 +1214,16 @@ mod tests {
                 "interval instruction sums must equal the aggregate exactly"
             );
         }
-        // The CSV renders one row per record plus the header.
+        // The CSV renders one row per record plus the header; unprofiled
+        // points write no profile sidecar.
         let dir = test_dir("timeline-csv");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("grid.timeline.csv");
-        par_c.write_timeline_csv_to(&path).expect("write csv");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        let rows: usize = par_c
-            .timelines
+        par_c.settings.results_dir = dir.clone();
+        let written = par_c.write_sidecars("grid").expect("write sidecars");
+        assert_eq!(written, vec![("timeline", dir.join("grid.timeline.csv"))]);
+        let text = std::fs::read_to_string(&written[0].1).expect("read back");
+        let rows: usize = timelines(&par_c)
             .iter()
-            .map(|(_, _, tl)| tl.records.len())
+            .map(|(_, tl)| tl.records.len())
             .sum();
         assert_eq!(text.lines().count(), 1 + rows);
         assert!(text.starts_with(&format!("workload,config,{}", Timeline::CSV_HEADER)));
@@ -1243,13 +1235,7 @@ mod tests {
         let mut plain = quick_campaign();
         let mut prof = quick_campaign();
         prof.settings.profile = true;
-        let specs = plain.specs();
-        let mut points: Vec<(WorkloadSpec, SimConfig)> = Vec::new();
-        for spec in specs.iter().take(2) {
-            for design in [Design::NumaGpu, Design::CarveHwc] {
-                points.push((spec.clone(), SimConfig::new(design)));
-            }
-        }
+        let points = small_grid(&plain);
         let fanned = prof.try_run_parallel(&points);
         for (i, (spec, sim)) in points.iter().enumerate() {
             let expect = plain.result(spec, sim);
@@ -1259,10 +1245,12 @@ mod tests {
         }
         // One breakdown per point, keyed like the journal, each obeying
         // the exclusivity invariant (categories sum to cycles × SMs).
-        assert_eq!(prof.stall_profiles.len(), points.len());
-        for ((w, key, p), (spec, sim)) in prof.stall_profiles.iter().zip(&points) {
-            assert_eq!(w.as_str(), spec.name);
-            assert_eq!(key, &key_of(spec, sim).1);
+        assert_eq!(prof.observations.len(), points.len());
+        for (o, (spec, sim)) in prof.observations.iter().zip(&points) {
+            assert_eq!(o.workload, spec.name);
+            assert_eq!(o.config, key_of(spec, sim).1);
+            assert!(o.timeline.is_none());
+            let p = o.profile.as_ref().expect("profiled");
             let expect = plain.result(spec, sim);
             let per_gpu = expect.cycles * sim.cfg.sms_per_gpu as u64;
             for gpu in &p.gpus {
@@ -1273,16 +1261,62 @@ mod tests {
             assert_eq!(back.encode_compact(), p.encode_compact());
         }
         let dir = test_dir("profile-tsv");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("grid.profile.tsv");
-        prof.write_profile_tsv_to(&path).expect("write tsv");
-        let text = std::fs::read_to_string(&path).expect("read back");
+        prof.settings.results_dir = dir.clone();
+        let written = prof.write_sidecars("grid").expect("write sidecars");
+        assert_eq!(written, vec![("profile", dir.join("grid.profile.tsv"))]);
+        let text = std::fs::read_to_string(&written[0].1).expect("read back");
         assert_eq!(text.lines().count(), points.len());
         for line in text.lines() {
             let mut f = line.splitn(3, '\t');
             let (_w, _k, compact) = (f.next().unwrap(), f.next().unwrap(), f.next().unwrap());
             assert!(ProfileReport::decode_compact(compact).is_some());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn timeline_stall_columns_sum_to_profile_totals() {
+        let mut c = quick_campaign();
+        c.settings.telemetry_interval = Some(700);
+        c.settings.profile = true;
+        let points = small_grid(&c);
+        c.try_run_parallel(&points);
+        let dir = test_dir("sidecar-join");
+        c.settings.results_dir = dir.clone();
+        let written = c.write_sidecars("grid").expect("write sidecars");
+        assert_eq!(written.len(), 2);
+        let csv = std::fs::read_to_string(dir.join("grid.timeline.csv")).expect("timeline");
+        let tsv = std::fs::read_to_string(dir.join("grid.profile.tsv")).expect("profile");
+        // Sum each point's stall columns per GPU, keyed like the journal.
+        let cats = sim_core::NUM_STALL_CATS;
+        let mut sums: HashMap<(String, String), Vec<Vec<u64>>> = HashMap::new();
+        for line in csv.lines().skip(1) {
+            let cols: Vec<&str> = line.split(',').collect();
+            assert_eq!(cols.len(), 2 + Timeline::CSV_COLUMNS, "{line}");
+            let gpu: usize = cols[4].parse().expect("gpu column");
+            let per_gpu = sums
+                .entry((cols[0].to_string(), cols[1].to_string()))
+                .or_default();
+            if per_gpu.len() <= gpu {
+                per_gpu.resize(gpu + 1, vec![0; cats]);
+            }
+            for (i, cell) in cols[cols.len() - cats..].iter().enumerate() {
+                per_gpu[gpu][i] += cell.parse::<u64>().expect("profiled stall cell");
+            }
+        }
+        assert_eq!(sums.len(), points.len());
+        for line in tsv.lines() {
+            let mut f = line.splitn(3, '\t');
+            let key = (f.next().unwrap().to_string(), f.next().unwrap().to_string());
+            let report = ProfileReport::decode_compact(f.next().unwrap()).expect("decode");
+            let from_timeline: Vec<Vec<u64>> = sums.remove(&key).expect("point in both sidecars");
+            let totals: Vec<Vec<u64>> = report.gpus.iter().map(|g| g.to_vec()).collect();
+            assert_eq!(
+                from_timeline, totals,
+                "{key:?}: timeline stalls vs profile.tsv"
+            );
+        }
+        assert!(sums.is_empty(), "timeline points missing from profile.tsv");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1299,17 +1333,19 @@ mod tests {
             (specs[1].clone(), SimConfig::new(Design::CarveHwc)),
         ];
         let table_a = table_of(&a.try_run_parallel(&points));
-        assert_eq!(a.timelines.len(), 2);
+        assert_eq!(timelines(&a).len(), 2);
 
         // A fresh campaign resuming from the journal reproduces the same
         // table but simulates nothing, so it collects no timelines.
         let mut b = quick_campaign();
         b.settings.telemetry_interval = Some(900);
+        b.settings.results_dir = dir.clone();
         b.set_journal_path(&path).expect("resume journal");
         let table_b = table_of(&b.try_run_parallel(&points));
         assert_eq!(table_b, table_a);
-        assert!(b.timelines.is_empty());
-        assert_eq!(b.write_timeline_csv("never-used").expect("no-op"), None);
+        assert!(b.observations.is_empty());
+        assert!(b.write_sidecars("never-used").expect("no-op").is_empty());
+        assert!(!dir.join("never-used.timeline.csv").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,6 +47,5 @@ pub fn figure_main(name: &str, settings: Settings, figure: fn(&mut Campaign) -> 
     let mut c = Campaign::with_journal(name, settings);
     figure(&mut c).emit(c.results_dir());
     eprintln!("({} simulation runs)", c.cached_runs());
-    c.report_timeline(name);
-    c.report_profile(name);
+    c.report_sidecars(name);
 }

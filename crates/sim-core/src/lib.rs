@@ -11,7 +11,7 @@
 //! * [`fault`] — deterministic cycle-stamped fault schedules ([`FaultPlan`])
 //!   and recovery accounting for the chaos layer,
 //! * [`profile`] — the cycle-accounting stall taxonomy and occupancy
-//!   breakdowns ([`ProfileReport`]) behind `carve-sim profile`,
+//!   breakdowns ([`ProfileReport`]) behind `carve-sim trace`,
 //! * [`units`] — byte-size / bandwidth formatting helpers,
 //! * [`telemetry`] — interval sampling ([`Timeline`]) and structured event
 //!   tracing ([`TraceEvent`]) for the observability layer.
@@ -60,10 +60,7 @@ pub use error::SimError;
 pub use event::NextEvent;
 pub use fast::{FastMap, FastSet, Slab, TagTable};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, RecoverySnapshot};
-pub use profile::{
-    DramChannelProfile, LinkOccupancy, ProfileReport, StallCat, StallIntervalRecord, StallLedger,
-    NUM_STALL_CATS,
-};
+pub use profile::{DramChannelProfile, LinkOccupancy, ProfileReport, StallCat, NUM_STALL_CATS};
 pub use queue::BoundedQueue;
 pub use rng::Stream;
 pub use stats::{geomean, Counter, Histogram};

@@ -1,17 +1,19 @@
-//! Cycle-accounting profiler ledger (DESIGN.md §14).
+//! Cycle-accounting profile types (DESIGN.md §14).
 //!
 //! The profiler classifies every simulated SM cycle into exactly one
 //! [`StallCat`]: the categories are *exclusive* and *exhaustive*, so for
 //! each GPU the per-category cycle counts sum to `cycles × SMs` — the
 //! invariant the system tests pin on all 20 workloads. The types here are
-//! engine-agnostic bookkeeping: the `carve-system` crate owns the
-//! classification rules (what state maps to which category) and feeds the
-//! [`StallLedger`]; DRAM channels and NoC links contribute their own
-//! occupancy breakdowns ([`DramChannelProfile`], [`LinkOccupancy`]).
+//! engine-agnostic bookkeeping: the `carve-system` crate's run observer
+//! owns the classification rules (what state maps to which category) and
+//! the per-GPU totals; DRAM channels and NoC links contribute their own
+//! occupancy breakdowns ([`DramChannelProfile`], [`LinkOccupancy`]). The
+//! per-interval breakdown rides on the telemetry timeline
+//! ([`crate::IntervalRecord::stalls`]).
 //!
-//! Like the telemetry sampler, profiling is a read-only observer: a run
-//! with the profiler on produces byte-identical journal lines to the same
-//! run with it off, under both engines.
+//! Like interval sampling, profiling is read-only: a run with the
+//! profiler on produces byte-identical journal lines to the same run with
+//! it off, under both engines.
 
 use crate::stats::percent;
 
@@ -98,106 +100,6 @@ impl StallCat {
     }
 }
 
-/// One (interval × GPU) row of the stacked-stall timeline extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallIntervalRecord {
-    /// First cycle of the interval (inclusive).
-    pub start: u64,
-    /// Last cycle of the interval (exclusive).
-    pub end: u64,
-    /// GPU index.
-    pub gpu: usize,
-    /// SM-cycles charged to each category inside `[start, end)`, indexed
-    /// by [`StallCat::index`]. Sums to `(end - start) × SMs`.
-    pub stalls: [u64; NUM_STALL_CATS],
-}
-
-impl StallIntervalRecord {
-    /// CSV header matching [`StallIntervalRecord::csv_line`].
-    pub const CSV_HEADER: &'static str = "start,end,gpu,issuing,idle,l1_miss,l2_miss,local_dram,\
-                                          remote_link,coherence_invalidate,epoch_flush,rdc_miss,\
-                                          mshr_full,link_queue";
-
-    /// One CSV row (no trailing newline).
-    pub fn csv_line(&self) -> String {
-        let mut out = format!("{},{},{}", self.start, self.end, self.gpu);
-        for v in self.stalls {
-            out.push(',');
-            out.push_str(&v.to_string());
-        }
-        out
-    }
-}
-
-/// The cycle-accounting ledger: per-GPU exclusive category totals plus an
-/// optional per-interval breakdown.
-///
-/// The classifier charges SM-cycles with [`StallLedger::add`] and marks
-/// interval boundaries with [`StallLedger::flush_interval`]; charges are
-/// monotone (the only subtraction is [`StallLedger::retract`], used to
-/// un-charge the final tick so totals land exactly on `cycles × SMs`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StallLedger {
-    /// Per-GPU totals, indexed by [`StallCat::index`].
-    gpus: Vec<[u64; NUM_STALL_CATS]>,
-    /// Per-GPU accumulation for the currently open interval.
-    cur: Vec<[u64; NUM_STALL_CATS]>,
-    /// Closed interval rows, in (interval, GPU) order.
-    intervals: Vec<StallIntervalRecord>,
-}
-
-impl StallLedger {
-    /// Creates an empty ledger for `num_gpus` GPUs.
-    pub fn new(num_gpus: usize) -> StallLedger {
-        StallLedger {
-            gpus: vec![[0; NUM_STALL_CATS]; num_gpus],
-            cur: vec![[0; NUM_STALL_CATS]; num_gpus],
-            intervals: Vec::new(),
-        }
-    }
-
-    /// Charges `cycles` SM-cycles of `cat` to `gpu`.
-    pub fn add(&mut self, gpu: usize, cat: StallCat, cycles: u64) {
-        self.gpus[gpu][cat.index()] += cycles;
-        self.cur[gpu][cat.index()] += cycles;
-    }
-
-    /// Un-charges `cycles` SM-cycles of `cat` from `gpu` (final-tick
-    /// correction; the cycles must still be in the open interval).
-    pub fn retract(&mut self, gpu: usize, cat: StallCat, cycles: u64) {
-        self.gpus[gpu][cat.index()] -= cycles;
-        self.cur[gpu][cat.index()] -= cycles;
-    }
-
-    /// Closes the interval `[start, end)`: emits one row per GPU from the
-    /// open accumulation and resets it. Empty intervals (`start == end`)
-    /// are skipped.
-    pub fn flush_interval(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
-        for (gpu, cur) in self.cur.iter_mut().enumerate() {
-            self.intervals.push(StallIntervalRecord {
-                start,
-                end,
-                gpu,
-                stalls: *cur,
-            });
-            *cur = [0; NUM_STALL_CATS];
-        }
-    }
-
-    /// Per-GPU category totals.
-    pub fn gpu_totals(&self) -> &[[u64; NUM_STALL_CATS]] {
-        &self.gpus
-    }
-
-    /// Consumes the ledger into its totals and interval rows.
-    pub fn into_parts(self) -> (Vec<[u64; NUM_STALL_CATS]>, Vec<StallIntervalRecord>) {
-        (self.gpus, self.intervals)
-    }
-}
-
 /// Occupancy breakdown of one DRAM channel.
 ///
 /// Row-hit/row-miss cycles are *bank-time* (banks within a channel overlap,
@@ -265,9 +167,6 @@ pub struct ProfileReport {
     /// Per-GPU category totals, indexed by [`StallCat::index`]. Each row
     /// sums to `cycles × sms_per_gpu` exactly.
     pub gpus: Vec<[u64; NUM_STALL_CATS]>,
-    /// Per-interval stacked-stall rows (empty unless interval sampling was
-    /// enabled alongside the profiler).
-    pub intervals: Vec<StallIntervalRecord>,
     /// Per-DRAM-channel occupancy, in (GPU, channel) order.
     pub dram: Vec<DramChannelProfile>,
     /// Per-link occupancy, in topology edge order.
@@ -400,9 +299,9 @@ impl ProfileReport {
         out
     }
 
-    /// One-line compact encoding for campaign profile sidecars. Interval
-    /// rows are not encoded (they live in the stall CSV); DRAM and link
-    /// occupancy are aggregated to machine-wide totals.
+    /// One-line compact encoding for campaign profile sidecars. Only
+    /// totals are encoded (per-interval breakdowns live in the timeline);
+    /// DRAM and link occupancy are aggregated to machine-wide totals.
     pub fn encode_compact(&self) -> String {
         let mut out = format!("cycles={}|sms={}", self.cycles, self.sms_per_gpu);
         for (g, gpu) in self.gpus.iter().enumerate() {
@@ -494,35 +393,6 @@ mod tests {
         assert_eq!(StallCat::from_index(NUM_STALL_CATS), None);
     }
 
-    #[test]
-    fn ledger_accumulates_and_flushes_intervals() {
-        let mut led = StallLedger::new(2);
-        led.add(0, StallCat::Issuing, 10);
-        led.add(1, StallCat::RemoteLink, 4);
-        led.flush_interval(0, 10);
-        led.add(0, StallCat::Idle, 6);
-        led.flush_interval(10, 20);
-        led.flush_interval(20, 20); // empty: skipped
-        let (gpus, intervals) = led.into_parts();
-        assert_eq!(gpus[0][StallCat::Issuing.index()], 10);
-        assert_eq!(gpus[0][StallCat::Idle.index()], 6);
-        assert_eq!(gpus[1][StallCat::RemoteLink.index()], 4);
-        assert_eq!(intervals.len(), 4);
-        assert_eq!(intervals[0].stalls[StallCat::Issuing.index()], 10);
-        assert_eq!(intervals[1].stalls[StallCat::RemoteLink.index()], 4);
-        assert_eq!(intervals[2].stalls[StallCat::Idle.index()], 6);
-        assert_eq!(intervals[3].stalls, [0; NUM_STALL_CATS]);
-        assert_eq!((intervals[2].start, intervals[2].end), (10, 20));
-    }
-
-    #[test]
-    fn retract_undoes_a_charge() {
-        let mut led = StallLedger::new(1);
-        led.add(0, StallCat::Issuing, 3);
-        led.retract(0, StallCat::Issuing, 1);
-        assert_eq!(led.gpu_totals()[0][StallCat::Issuing.index()], 2);
-    }
-
     fn sample_report() -> ProfileReport {
         let mut gpus = vec![[0u64; NUM_STALL_CATS]; 2];
         gpus[0][StallCat::Issuing.index()] = 50;
@@ -534,7 +404,6 @@ mod tests {
             cycles: 50,
             sms_per_gpu: 2,
             gpus,
-            intervals: Vec::new(),
             dram: vec![DramChannelProfile {
                 gpu: 0,
                 channel: 1,
@@ -621,23 +490,6 @@ mod tests {
         assert!((back.links[0].queue_cycles - 5.0).abs() < 1e-9);
         assert_eq!(ProfileReport::decode_compact("garbage"), None);
         assert_eq!(ProfileReport::decode_compact("cycles=1|gpu1=0"), None);
-    }
-
-    #[test]
-    fn interval_record_csv_shape() {
-        let rec = StallIntervalRecord {
-            start: 0,
-            end: 5000,
-            gpu: 2,
-            stalls: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
-        };
-        let line = rec.csv_line();
-        assert_eq!(line.split(',').count(), 3 + NUM_STALL_CATS);
-        assert_eq!(
-            StallIntervalRecord::CSV_HEADER.split(',').count(),
-            3 + NUM_STALL_CATS
-        );
-        assert!(line.starts_with("0,5000,2,1,2,"));
     }
 
     #[test]

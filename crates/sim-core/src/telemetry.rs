@@ -4,19 +4,20 @@
 //! free on the hot path when disabled:
 //!
 //! * **Interval sampling** — every `SimConfig::telemetry_interval` cycles
-//!   the engine snapshots per-GPU component counters into a fixed-size
-//!   [`IntervalRecord`] (instruction/hit-rate deltas for cumulative
-//!   counters, point-in-time occupancy for queues). The records form a
-//!   [`Timeline`] that rides along on the run result and serializes to
-//!   CSV. Per-interval instruction counts sum to the run's total
-//!   instruction count exactly: the engine flushes a final partial
-//!   interval at end of run.
+//!   the engine's observer snapshots per-GPU component counters into a
+//!   fixed-size [`IntervalRecord`] (instruction/hit-rate deltas for
+//!   cumulative counters, point-in-time occupancy for queues, and — when
+//!   the cycle profiler is on too — the SM-cycles charged to each stall
+//!   category). The records form a [`Timeline`] that rides along on the
+//!   run result and serializes to CSV. Per-interval instruction counts sum
+//!   to the run's total instruction count exactly: the observer closes a
+//!   final partial interval at end of run.
 //! * **Event tracing** — the engine records structured [`TraceEvent`]s
 //!   (kernel launch/drain spans per GPU, coherence broadcast and
-//!   epoch-invalidation instants, page migrations, watchdog trips) on the
-//!   run result; [`write_chrome_json`] renders them as Chrome
-//!   `chrome://tracing` / Perfetto-compatible JSON. With tracing off the
-//!   engine constructs no event at all.
+//!   epoch-invalidation instants, page migrations) on the run result;
+//!   [`write_chrome_json`] renders them as Chrome `chrome://tracing` /
+//!   Perfetto-compatible JSON. With tracing off the engine constructs no
+//!   event at all.
 //!
 //! Telemetry is *read-only*: sampling never mutates component state, so a
 //! run with sampling enabled produces bit-identical aggregates to one
@@ -24,12 +25,15 @@
 
 use std::io::{self, Write};
 
+use crate::profile::NUM_STALL_CATS;
+
 /// One fixed-size telemetry sample: activity of a single GPU over the
 /// half-open cycle interval `[start, end)` (the final record of a run is
 /// closed at the run's last cycle). Counter fields are deltas over the
 /// interval; occupancy fields (`active_warps`, `waiting_mem_warps`,
 /// `mshr_outstanding`, `outbox_backlog`, `link_in_flight`) are
-/// point-in-time values observed at the interval boundary.
+/// point-in-time values observed at the interval boundary; `stalls` is
+/// the interval's cycle-accounting breakdown when the run was profiled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntervalRecord {
     /// First cycle covered by this record.
@@ -79,6 +83,10 @@ pub struct IntervalRecord {
     pub rdc_insertions: u64,
     /// RDC invalidation drops in the interval.
     pub rdc_invalidations: u64,
+    /// SM-cycles charged to each stall category inside the interval,
+    /// indexed by [`crate::StallCat::index`]; sums to `(end - start) × SMs`.
+    /// `None` unless the cycle profiler was on.
+    pub stalls: Option<[u64; NUM_STALL_CATS]>,
 }
 
 impl IntervalRecord {
@@ -123,9 +131,10 @@ impl IntervalRecord {
     }
 
     /// The record as one CSV line (no trailing newline), columns matching
-    /// [`Timeline::CSV_HEADER`].
+    /// [`Timeline::CSV_HEADER`]. The stall columns are empty when the run
+    /// was not profiled.
     pub fn csv_line(&self) -> String {
-        format!(
+        let mut line = format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.start,
             self.end,
@@ -150,7 +159,14 @@ impl IntervalRecord {
             self.rdc_misses,
             self.rdc_insertions,
             self.rdc_invalidations,
-        )
+        );
+        for i in 0..NUM_STALL_CATS {
+            line.push(',');
+            if let Some(stalls) = &self.stalls {
+                line.push_str(&stalls[i].to_string());
+            }
+        }
+        line
     }
 }
 
@@ -174,17 +190,20 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// CSV header line matching [`IntervalRecord::csv_line`]. The
-    /// trace-smoke CI job asserts this exact schema; widening it is fine,
-    /// but bump the docs and CI check together.
+    /// CSV header line matching [`IntervalRecord::csv_line`]: the
+    /// counters, then one column per stall category in
+    /// [`crate::StallCat::ALL`] order. The trace-smoke CI job asserts this
+    /// exact schema; widening it is fine, but bump the docs and CI check
+    /// together.
     pub const CSV_HEADER: &'static str = "start,end,gpu,instructions,active_warps,\
          waiting_mem_warps,l1_hits,l1_misses,l2_hits,l2_misses,mshr_outstanding,\
          outbox_backlog,dram_reads,dram_writes,dram_row_hits,dram_row_misses,\
          dram_bytes,link_bytes_out,link_in_flight,rdc_hits,rdc_misses,\
-         rdc_insertions,rdc_invalidations";
+         rdc_insertions,rdc_invalidations,issuing,idle,l1_miss,l2_miss,local_dram,\
+         remote_link,coherence_invalidate,epoch_flush,rdc_miss,mshr_full,link_queue";
 
     /// Number of columns in the CSV schema.
-    pub const CSV_COLUMNS: usize = 23;
+    pub const CSV_COLUMNS: usize = 34;
 
     /// Creates an empty timeline with the given sampling interval.
     pub fn new(interval: u64) -> Timeline {
@@ -268,7 +287,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Track id for events that belong to the whole system rather than
-    /// one GPU (coherence broadcasts, watchdog trips, kernel boundaries).
+    /// one GPU (coherence broadcasts, migrations, kernel boundaries).
     pub const SYSTEM_TRACK: u32 = u32::MAX;
 
     /// An instantaneous event with no arguments.
@@ -394,8 +413,21 @@ mod tests {
     fn csv_header_matches_line_column_count() {
         let header_cols = Timeline::CSV_HEADER.split(',').count();
         assert_eq!(header_cols, Timeline::CSV_COLUMNS);
-        let line = record(0, 100, 0, 42).csv_line();
+        let mut rec = record(0, 100, 0, 42);
+        let line = rec.csv_line();
         assert_eq!(line.split(',').count(), Timeline::CSV_COLUMNS);
+        // One schema: an unprofiled row leaves the stall columns empty.
+        assert!(line.ends_with(&",".repeat(NUM_STALL_CATS)), "{line}");
+        rec.stalls = Some([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
+        let line = rec.csv_line();
+        assert_eq!(line.split(',').count(), Timeline::CSV_COLUMNS);
+        assert!(line.ends_with(",0,0,0,0,1,2,3,4,5,6,7,8,9,10,11"), "{line}");
+        // The stall columns follow the category order, one per category.
+        let header: Vec<&str> = Timeline::CSV_HEADER.split(',').collect();
+        let stall_cols = &header[header.len() - NUM_STALL_CATS..];
+        for (col, cat) in stall_cols.iter().zip(crate::StallCat::ALL) {
+            assert_eq!(*col, cat.label().replace('-', "_"));
+        }
         // The continuation-escaped header must not leak stray whitespace.
         assert!(!Timeline::CSV_HEADER.contains(' '));
     }
@@ -435,7 +467,7 @@ mod tests {
         let events = [
             TraceEvent::begin("kernel 0", 1, 400),
             TraceEvent::end("kernel 0", 1, 900),
-            TraceEvent::instant("watchdog trip", TraceEvent::SYSTEM_TRACK, 950).arg("budget", 100),
+            TraceEvent::instant("page migration", TraceEvent::SYSTEM_TRACK, 950).arg("count", 100),
         ];
         let mut buf = Vec::new();
         write_chrome_json(&events, &mut buf).expect("write to Vec cannot fail");
@@ -444,7 +476,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"B\""));
         assert!(json.contains("\"ph\":\"E\""));
         assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"args\":{\"budget\":100}"));
+        assert!(json.contains("\"args\":{\"count\":100}"));
         // System-track events land on tid 0; GPU 1 lands on tid 2.
         assert!(json.contains("\"tid\":0"));
         assert!(json.contains("\"tid\":2"));

@@ -3,9 +3,8 @@
 //! ```text
 //! carve-sim list                          # the 20 workload models
 //! carve-sim run <workload> [options]      # simulate one configuration
-//! carve-sim trace <workload> [options]    # run with telemetry + event trace
+//! carve-sim trace <workload> [options]    # run with every observation on
 //! carve-sim compare <workload>            # all designs side by side
-//! carve-sim profile <workload> [options]  # sharing profile + cycle accounting
 //! carve-sim fuzz [options]                # randomized fault-injection fuzzer
 //!
 //! options for `run` and `trace`:
@@ -33,19 +32,17 @@
 //!   --out <dir>                  dump minimized oracle-fired scenarios as
 //!                                replayable .chaos fixture files
 //!
-//! options for `trace` only:
+//! options for `trace` only (`run` rejects them):
 //!   --out <dir>                  output directory (default results/trace/<workload>)
 //!   --interval <cycles>          sampling interval (default 5000)
 //!
-//! `trace` writes <dir>/timeline.csv (per-GPU interval records) and
-//! <dir>/trace.json (Chrome chrome://tracing / Perfetto format; open with
-//! https://ui.perfetto.dev or chrome://tracing).
-//!
-//! `profile` accepts the `run` options plus `--out`/`--interval`: it prints
-//! the Figure-4 sharing profile and a top-down cycle-accounting table, and
-//! writes <dir>/profile.folded (flamegraph folded stacks) plus
-//! <dir>/stalls.csv (per-interval stacked stall rows; default dir
-//! results/profile/<workload>).
+//! `trace` runs with interval telemetry, the cycle-accounting profiler and
+//! the event trace on. It prints the Figure-4 sharing profile, the run
+//! report and a top-down cycle-accounting table, and writes
+//! <dir>/timeline.csv (one row per interval and GPU: counters plus the
+//! interval's stall breakdown), <dir>/trace.json (Chrome chrome://tracing
+//! / Perfetto format; open with https://ui.perfetto.dev) and
+//! <dir>/profile.folded (flamegraph folded stacks).
 //!
 //! environment: `CARVE_STEP` (stepping engine), `CARVE_SANITIZE`
 //! (sanitizer on unless set to empty or `0`) and `CARVE_WATCHDOG_CYCLES`
@@ -64,6 +61,7 @@ use carve_system::{
     ChaosOutcome, ChaosScenario, Design, FaultPlan, SimConfig, SimError, SimResult, SimSettings,
     TopologySpec,
 };
+use carve_trace::WorkloadSpec;
 use sim_core::rng::Stream;
 
 /// Default `trace` sampling interval: fine enough to resolve kernel-scale
@@ -112,13 +110,15 @@ struct RunArgs {
     /// Fault-injection schedule (parsed at flag time so a bad plan is a
     /// usage error, not a simulation failure).
     faults: Option<FaultPlan>,
-    /// `trace` only: output directory for timeline.csv + trace.json.
+    /// `trace` only: output directory for the trace artifacts.
     out: Option<String>,
     /// `trace` only: telemetry sampling interval in cycles.
     interval: Option<u64>,
 }
 
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+/// Parses `run` options, or `trace` options when `trace` is set (only
+/// `trace` accepts `--out` and `--interval`).
+fn parse_run_args(args: &[String], trace: bool) -> Result<RunArgs, String> {
     let mut it = args.iter();
     let workload = it
         .next()
@@ -207,6 +207,9 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 let mut rng = Stream::from_parts(&[seed]);
                 out.faults = Some(FaultPlan::random(&mut rng, FAULT_SEED_HORIZON, 0.5, false));
             }
+            "--out" | "--interval" if !trace => {
+                return Err(format!("{flag} is a `trace` option"));
+            }
             "--out" => {
                 let v = it.next().ok_or("--out needs a value")?;
                 out.out = Some(v.clone());
@@ -223,6 +226,23 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         }
     }
     Ok(out)
+}
+
+/// Parses a `run`/`trace` command line and resolves its workload; a
+/// usage error is reported and mapped to its exit code.
+fn parse_point(args: &[String], trace: bool) -> Result<(RunArgs, WorkloadSpec), ExitCode> {
+    let parsed = parse_run_args(args, trace).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(EXIT_USAGE)
+    })?;
+    let Some(spec) = workloads::by_name(&parsed.workload) else {
+        eprintln!(
+            "error: unknown workload '{}' (try `carve-sim list`)",
+            parsed.workload
+        );
+        return Err(ExitCode::from(EXIT_USAGE));
+    };
+    Ok((parsed, spec))
 }
 
 fn sim_config_from(args: &RunArgs) -> SimConfig {
@@ -254,7 +274,7 @@ fn sim_config_from(args: &RunArgs) -> SimConfig {
 /// Runs `sim` with the environment's engine, sanitizer and watchdog
 /// settings filling whatever the command line left open.
 fn simulate(
-    spec: &carve_trace::WorkloadSpec,
+    spec: &WorkloadSpec,
     mut sim: SimConfig,
     env: &SimSettings,
 ) -> Result<SimResult, SimError> {
@@ -262,7 +282,39 @@ fn simulate(
     try_run_with_profile_mode(spec, &sim, None, env.engine)
 }
 
-fn print_result(r: &carve_system::SimResult) {
+/// Prints the Figure-4 sharing profile of `spec` on `sim`'s machine.
+fn print_sharing_profile(spec: &WorkloadSpec, sim: &SimConfig) {
+    let p = profile_workload(spec, &sim.cfg, sim.cfg.num_gpus);
+    let (pp, pro, prw) = p.page_breakdown().fractions();
+    let (lp, lro, lrw) = p.line_breakdown().fractions();
+    println!(
+        "sharing profile of {} on {} GPUs:",
+        spec.name, sim.cfg.num_gpus
+    );
+    println!(
+        "  pages: {:5.1}% private {:5.1}% RO-shared {:5.1}% RW-shared",
+        100.0 * pp,
+        100.0 * pro,
+        100.0 * prw
+    );
+    println!(
+        "  lines: {:5.1}% private {:5.1}% RO-shared {:5.1}% RW-shared",
+        100.0 * lp,
+        100.0 * lro,
+        100.0 * lrw
+    );
+    println!(
+        "  shared footprint: {} (x{} paper-equivalent)",
+        p.shared_footprint_bytes(),
+        sim.cfg.capacity_scale
+    );
+    println!(
+        "  replication multiplier: {:.2}x",
+        p.replication_footprint_multiplier()
+    );
+}
+
+fn print_result(r: &SimResult) {
     println!("workload:           {}", r.workload);
     println!("design:             {}", r.design.label());
     println!("cycles:             {}", r.cycles);
@@ -468,7 +520,7 @@ fn run_error_code(e: &SimError) -> u8 {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: carve-sim <list|run|trace|compare|profile|fuzz> [args]  (see --help in source header)"
+        "usage: carve-sim <list|run|trace|compare|fuzz> [args]  (see --help in source header)"
     );
     ExitCode::from(EXIT_USAGE)
 }
@@ -495,19 +547,9 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("run") => {
-            let parsed = match parse_run_args(&args[1..]) {
+            let (parsed, spec) = match parse_point(&args[1..], false) {
                 Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            };
-            let Some(spec) = workloads::by_name(&parsed.workload) else {
-                eprintln!(
-                    "error: unknown workload '{}' (try `carve-sim list`)",
-                    parsed.workload
-                );
-                return ExitCode::from(EXIT_USAGE);
+                Err(code) => return code,
             };
             let sim = sim_config_from(&parsed);
             // audit:allow(wall-clock) run-duration banner for humans, not simulated time
@@ -526,22 +568,13 @@ fn main() -> ExitCode {
             }
         }
         Some("trace") => {
-            let parsed = match parse_run_args(&args[1..]) {
+            let (parsed, spec) = match parse_point(&args[1..], true) {
                 Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            };
-            let Some(spec) = workloads::by_name(&parsed.workload) else {
-                eprintln!(
-                    "error: unknown workload '{}' (try `carve-sim list`)",
-                    parsed.workload
-                );
-                return ExitCode::from(EXIT_USAGE);
+                Err(code) => return code,
             };
             let mut sim = sim_config_from(&parsed);
             sim.telemetry_interval = Some(parsed.interval.unwrap_or(DEFAULT_TRACE_INTERVAL));
+            sim.cycle_profile = true;
             sim.event_trace = true;
             let out_dir = parsed
                 .out
@@ -551,30 +584,36 @@ fn main() -> ExitCode {
                 eprintln!("error: cannot create '{out_dir}': {e}");
                 return ExitCode::FAILURE;
             }
+            print_sharing_profile(&spec, &sim);
             // audit:allow(wall-clock) run-duration banner for humans, not simulated time
             let started = Instant::now();
             match simulate(&spec, sim, &env) {
                 Ok(r) => {
                     let wall = started.elapsed();
+                    let (Some(timeline), Some(report), Some(events)) =
+                        (&r.timeline, &r.profile, r.trace.as_deref())
+                    else {
+                        unreachable!("trace turns on every observation");
+                    };
                     let csv_path = format!("{out_dir}/timeline.csv");
                     let json_path = format!("{out_dir}/trace.json");
-                    let timeline = r
-                        .timeline
-                        .as_ref()
-                        .expect("trace always enables telemetry sampling");
-                    let events = r.trace.as_deref().expect("trace enables event tracing");
-                    if let Err(e) = std::fs::write(&csv_path, timeline.to_csv_string()) {
-                        eprintln!("error: cannot write '{csv_path}': {e}");
-                        return ExitCode::FAILURE;
-                    }
+                    let folded_path = format!("{out_dir}/profile.folded");
                     let mut json = Vec::new();
-                    if let Err(e) = write_chrome_json(events, &mut json)
-                        .and_then(|()| std::fs::write(&json_path, json))
-                    {
-                        eprintln!("error: cannot write '{json_path}': {e}");
-                        return ExitCode::FAILURE;
+                    write_chrome_json(events, &mut json).expect("write to Vec cannot fail");
+                    let root = format!("{}:{}", r.workload, r.design.label());
+                    for (path, contents) in [
+                        (&csv_path, timeline.to_csv_string().into_bytes()),
+                        (&json_path, json),
+                        (&folded_path, report.folded_string(&root).into_bytes()),
+                    ] {
+                        if let Err(e) = std::fs::write(path, contents) {
+                            eprintln!("error: cannot write '{path}': {e}");
+                            return ExitCode::FAILURE;
+                        }
                     }
                     print_result(&r);
+                    println!();
+                    print!("{}", report.table_string());
                     println!(
                         "timeline:           {csv_path} ({} intervals)",
                         timeline.num_intervals()
@@ -583,6 +622,7 @@ fn main() -> ExitCode {
                         "trace:              {json_path} ({} events; open in ui.perfetto.dev)",
                         events.len()
                     );
+                    println!("folded stacks:      {folded_path} (flamegraph.pl-compatible)");
                     eprintln!("{}", summary_line(&r, wall));
                     ExitCode::SUCCESS
                 }
@@ -619,103 +659,6 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("profile") => {
-            let parsed = match parse_run_args(&args[1..]) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            };
-            let Some(spec) = workloads::by_name(&parsed.workload) else {
-                eprintln!(
-                    "error: unknown workload '{}' (try `carve-sim list`)",
-                    parsed.workload
-                );
-                return ExitCode::from(EXIT_USAGE);
-            };
-            let mut sim = sim_config_from(&parsed);
-            sim.cycle_profile = true;
-            // Interval sampling drives the stacked-stall rows in stalls.csv.
-            sim.telemetry_interval = Some(parsed.interval.unwrap_or(DEFAULT_TRACE_INTERVAL));
-            let p = profile_workload(&spec, &sim.cfg, sim.cfg.num_gpus);
-            let (pp, pro, prw) = p.page_breakdown().fractions();
-            let (lp, lro, lrw) = p.line_breakdown().fractions();
-            println!(
-                "sharing profile of {} on {} GPUs:",
-                parsed.workload, sim.cfg.num_gpus
-            );
-            println!(
-                "  pages: {:5.1}% private {:5.1}% RO-shared {:5.1}% RW-shared",
-                100.0 * pp,
-                100.0 * pro,
-                100.0 * prw
-            );
-            println!(
-                "  lines: {:5.1}% private {:5.1}% RO-shared {:5.1}% RW-shared",
-                100.0 * lp,
-                100.0 * lro,
-                100.0 * lrw
-            );
-            println!(
-                "  shared footprint: {} (x{} paper-equivalent)",
-                p.shared_footprint_bytes(),
-                sim.cfg.capacity_scale
-            );
-            println!(
-                "  replication multiplier: {:.2}x",
-                p.replication_footprint_multiplier()
-            );
-            let out_dir = parsed
-                .out
-                .clone()
-                .unwrap_or_else(|| format!("results/profile/{}", parsed.workload));
-            if let Err(e) = std::fs::create_dir_all(&out_dir) {
-                eprintln!("error: cannot create '{out_dir}': {e}");
-                return ExitCode::FAILURE;
-            }
-            // audit:allow(wall-clock) run-duration banner for humans, not simulated time
-            let started = Instant::now();
-            match simulate(&spec, sim, &env) {
-                Ok(r) => {
-                    let wall = started.elapsed();
-                    let report = r
-                        .profile
-                        .as_ref()
-                        .expect("profile subcommand enables the profiler");
-                    println!();
-                    print!("{}", report.table_string());
-                    let folded_path = format!("{out_dir}/profile.folded");
-                    let root = format!("{}:{}", r.workload, r.design.label());
-                    if let Err(e) = std::fs::write(&folded_path, report.folded_string(&root)) {
-                        eprintln!("error: cannot write '{folded_path}': {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    let stalls_path = format!("{out_dir}/stalls.csv");
-                    let mut csv = String::from(carve_system::StallIntervalRecord::CSV_HEADER);
-                    csv.push('\n');
-                    for row in &report.intervals {
-                        csv.push_str(&row.csv_line());
-                        csv.push('\n');
-                    }
-                    if let Err(e) = std::fs::write(&stalls_path, csv) {
-                        eprintln!("error: cannot write '{stalls_path}': {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("folded stacks:      {folded_path} (flamegraph.pl-compatible)");
-                    println!(
-                        "stall intervals:    {stalls_path} ({} rows)",
-                        report.intervals.len()
-                    );
-                    eprintln!("{}", summary_line(&r, wall));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(run_error_code(&e))
-                }
-            }
-        }
         Some("fuzz") => {
             let parsed = match parse_fuzz_args(&args[1..]) {
                 Ok(p) => p,
@@ -740,7 +683,7 @@ mod tests {
 
     #[test]
     fn parses_minimal_run() {
-        let a = parse_run_args(&strs(&["Lulesh"])).unwrap();
+        let a = parse_run_args(&strs(&["Lulesh"]), false).unwrap();
         assert_eq!(a.workload, "Lulesh");
         assert_eq!(a.design, Design::CarveHwc);
         assert_eq!(a.spill, 0.0);
@@ -748,23 +691,26 @@ mod tests {
 
     #[test]
     fn parses_all_options() {
-        let a = parse_run_args(&strs(&[
-            "XSBench",
-            "--design",
-            "carve-swc",
-            "--rdc",
-            "1048576",
-            "--spill",
-            "0.0625",
-            "--link-gbs",
-            "128",
-            "--gpus",
-            "8",
-            "--topology",
-            "hier4",
-            "--predictor",
-            "--directory",
-        ]))
+        let a = parse_run_args(
+            &strs(&[
+                "XSBench",
+                "--design",
+                "carve-swc",
+                "--rdc",
+                "1048576",
+                "--spill",
+                "0.0625",
+                "--link-gbs",
+                "128",
+                "--gpus",
+                "8",
+                "--topology",
+                "hier4",
+                "--predictor",
+                "--directory",
+            ]),
+            false,
+        )
         .unwrap();
         assert_eq!(a.design, Design::CarveSwc);
         assert_eq!(a.rdc, Some(1048576));
@@ -786,52 +732,58 @@ mod tests {
             ("ring", TopologySpec::Ring),
             ("hier8", TopologySpec::Hierarchical { pod_size: 8 }),
         ] {
-            let a = parse_run_args(&strs(&["w", "--topology", label])).unwrap();
+            let a = parse_run_args(&strs(&["w", "--topology", label]), false).unwrap();
             assert_eq!(a.topology, Some(topo), "{label}");
         }
-        assert!(parse_run_args(&strs(&["w", "--topology", "torus"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--topology", "hier0"])).is_err());
-        let a = parse_run_args(&strs(&["w", "--gpus", "64"])).unwrap();
+        assert!(parse_run_args(&strs(&["w", "--topology", "torus"]), false).is_err());
+        assert!(parse_run_args(&strs(&["w", "--topology", "hier0"]), false).is_err());
+        let a = parse_run_args(&strs(&["w", "--gpus", "64"]), false).unwrap();
         assert_eq!(a.gpus, Some(64));
-        assert!(parse_run_args(&strs(&["w", "--gpus", "65"])).is_err());
+        assert!(parse_run_args(&strs(&["w", "--gpus", "65"]), false).is_err());
         // Default stays the paper's all-to-all mesh.
-        let b = parse_run_args(&strs(&["w"])).unwrap();
+        let b = parse_run_args(&strs(&["w"]), false).unwrap();
         assert_eq!(b.topology, None);
         assert_eq!(sim_config_from(&b).cfg.topology, TopologySpec::AllToAll);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_run_args(&[]).is_err());
-        assert!(parse_run_args(&strs(&["w", "--design", "nope"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--spill", "1.5"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--gpus", "0"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--bogus"])).is_err());
+        assert!(parse_run_args(&[], false).is_err());
+        assert!(parse_run_args(&strs(&["w", "--design", "nope"]), false).is_err());
+        assert!(parse_run_args(&strs(&["w", "--spill", "1.5"]), false).is_err());
+        assert!(parse_run_args(&strs(&["w", "--gpus", "0"]), false).is_err());
+        assert!(parse_run_args(&strs(&["w", "--bogus"]), false).is_err());
     }
 
     #[test]
     fn parses_trace_options() {
-        let a = parse_run_args(&strs(&[
-            "Lulesh",
-            "--out",
-            "results/trace/lulesh",
-            "--interval",
-            "2500",
-        ]))
+        let a = parse_run_args(
+            &strs(&[
+                "Lulesh",
+                "--out",
+                "results/trace/lulesh",
+                "--interval",
+                "2500",
+            ]),
+            true,
+        )
         .unwrap();
         assert_eq!(a.out.as_deref(), Some("results/trace/lulesh"));
         assert_eq!(a.interval, Some(2500));
-        // Both default to None for plain `run`.
-        let b = parse_run_args(&strs(&["Lulesh"])).unwrap();
+        // Both default to None.
+        let b = parse_run_args(&strs(&["Lulesh"]), true).unwrap();
         assert_eq!(b.out, None);
         assert_eq!(b.interval, None);
+        // `run` rejects them instead of ignoring them.
+        assert!(parse_run_args(&strs(&["Lulesh", "--out", "x"]), false).is_err());
+        assert!(parse_run_args(&strs(&["Lulesh", "--interval", "7"]), false).is_err());
     }
 
     #[test]
     fn rejects_zero_interval() {
-        assert!(parse_run_args(&strs(&["w", "--interval", "0"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--interval", "abc"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--out"])).is_err());
+        assert!(parse_run_args(&strs(&["w", "--interval", "0"]), true).is_err());
+        assert!(parse_run_args(&strs(&["w", "--interval", "abc"]), true).is_err());
+        assert!(parse_run_args(&strs(&["w", "--out"]), true).is_err());
     }
 
     #[test]
@@ -843,12 +795,10 @@ mod tests {
 
     #[test]
     fn parses_sanitize_and_stall_inject() {
-        let a = parse_run_args(&strs(&[
-            "Lulesh",
-            "--sanitize",
-            "--stall-inject-at",
-            "5000",
-        ]))
+        let a = parse_run_args(
+            &strs(&["Lulesh", "--sanitize", "--stall-inject-at", "5000"]),
+            false,
+        )
         .unwrap();
         assert!(a.sanitize);
         assert_eq!(a.stall_inject_at, Some(5000));
@@ -856,20 +806,19 @@ mod tests {
         assert_eq!(sim.sanitize, Some(true));
         assert_eq!(sim.stall_inject_at, Some(5000));
         // Off by default: `None` leaves CARVE_SANITIZE to decide, it does not force-disable.
-        let b = parse_run_args(&strs(&["Lulesh"])).unwrap();
+        let b = parse_run_args(&strs(&["Lulesh"]), false).unwrap();
         assert!(!b.sanitize);
         assert_eq!(sim_config_from(&b).sanitize, None);
-        assert!(parse_run_args(&strs(&["w", "--stall-inject-at"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--stall-inject-at", "x"])).is_err());
+        assert!(parse_run_args(&strs(&["w", "--stall-inject-at"]), false).is_err());
+        assert!(parse_run_args(&strs(&["w", "--stall-inject-at", "x"]), false).is_err());
     }
 
     #[test]
     fn parses_fault_flags() {
-        let a = parse_run_args(&strs(&[
-            "Lulesh",
-            "--faults",
-            "degrade@1000:e3*25,freeze@4000+500",
-        ]))
+        let a = parse_run_args(
+            &strs(&["Lulesh", "--faults", "degrade@1000:e3*25,freeze@4000+500"]),
+            false,
+        )
         .unwrap();
         let plan = a.faults.as_ref().expect("plan parsed");
         assert_eq!(plan.len(), 2);
@@ -877,19 +826,21 @@ mod tests {
             sim_config_from(&a).fault_plan.as_ref().map(FaultPlan::len),
             Some(2)
         );
-        assert!(parse_run_args(&strs(&["w", "--faults", "explode@9"])).is_err());
-        assert!(parse_run_args(&strs(&["w", "--faults"])).is_err());
+        assert!(parse_run_args(&strs(&["w", "--faults", "explode@9"]), false).is_err());
+        assert!(parse_run_args(&strs(&["w", "--faults"]), false).is_err());
 
-        let b = parse_run_args(&strs(&["Lulesh", "--fault-seed", "7"])).unwrap();
+        let b = parse_run_args(&strs(&["Lulesh", "--fault-seed", "7"]), false).unwrap();
         let seeded = b.faults.as_ref().expect("seeded plan");
         assert!(!seeded.is_empty());
         assert!(seeded.is_graceful(), "seeded plans must never lose packets");
         // Same seed, same plan.
-        let b2 = parse_run_args(&strs(&["Lulesh", "--fault-seed", "7"])).unwrap();
+        let b2 = parse_run_args(&strs(&["Lulesh", "--fault-seed", "7"]), false).unwrap();
         assert_eq!(b.faults, b2.faults);
-        assert!(
-            parse_run_args(&strs(&["w", "--faults", "freeze@10", "--fault-seed", "1"])).is_err()
-        );
+        assert!(parse_run_args(
+            &strs(&["w", "--faults", "freeze@10", "--fault-seed", "1"]),
+            false
+        )
+        .is_err());
     }
 
     #[test]
@@ -937,7 +888,7 @@ mod tests {
 
     #[test]
     fn link_gbs_scales_with_width() {
-        let mut a = parse_run_args(&strs(&["w", "--link-gbs", "64"])).unwrap();
+        let mut a = parse_run_args(&strs(&["w", "--link-gbs", "64"]), false).unwrap();
         a.workload = "w".into();
         let sim = sim_config_from(&a);
         let default = SimConfig::new(Design::CarveHwc);

@@ -176,8 +176,8 @@ pub struct SimConfig {
     /// Structured event tracing (default off). When enabled, the run's
     /// [`crate::SimResult::trace`] carries the engine's
     /// [`sim_core::TraceEvent`]s: kernel launch/drain spans per GPU,
-    /// coherence broadcasts, epoch invalidations, page migrations and
-    /// watchdog trips. Read-only like the other observers.
+    /// coherence broadcasts, epoch invalidations and page migrations.
+    /// Read-only like the other observations.
     pub event_trace: bool,
     /// Deterministic fault-injection schedule (see [`sim_core::fault`]).
     /// Events are applied at their exact cycles under both engines, so a

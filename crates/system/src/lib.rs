@@ -38,6 +38,7 @@
 pub mod chaos;
 pub mod design;
 pub mod metrics;
+mod observe;
 mod sanitize;
 pub mod settings;
 pub mod sim;
@@ -52,7 +53,7 @@ pub use sim::{run, try_run_with_profile_mode, EngineMode};
 pub use carve_runtime::sharing::{profile_workload, SharingProfile};
 pub use carve_trace::workloads;
 pub use sim_core::profile::{
-    DramChannelProfile, LinkOccupancy, ProfileReport, StallCat, StallIntervalRecord, NUM_STALL_CATS,
+    DramChannelProfile, LinkOccupancy, ProfileReport, StallCat, NUM_STALL_CATS,
 };
 pub use sim_core::telemetry::{
     write_chrome_json, IntervalRecord, Timeline, TraceEvent, TracePhase,

@@ -384,7 +384,6 @@ mod tests {
             cycles: 10,
             sms_per_gpu: 2,
             gpus: vec![[1u64; sim_core::NUM_STALL_CATS]],
-            intervals: Vec::new(),
             dram: Vec::new(),
             links: Vec::new(),
         });

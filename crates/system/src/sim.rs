@@ -23,11 +23,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use carve::{Carve, CoherencePolicy, HitPredictor, ProbeKind, RdcConfig, RdcStats};
-use carve_dram::{Completion, DramConfig, DramModel, DramStats, FlatMemory};
-use carve_gpu::{
-    CoreReqKind, CoreRequest, CoreStats, Fabric, GpuCore, TranslationOutcome, Translator,
-};
+use carve::{Carve, HitPredictor, ProbeKind, RdcConfig, RdcStats};
+use carve_dram::{Completion, DramConfig, DramModel, FlatMemory};
+use carve_gpu::{CoreReqKind, CoreRequest, Fabric, GpuCore, TranslationOutcome, Translator};
 use carve_noc::{msg, Delivery, LinkNetwork, NodeId, Topology};
 use carve_runtime::page_table::{PageMigration, PageTable};
 use carve_runtime::sched::cta_range_of_gpu;
@@ -35,8 +33,6 @@ use carve_runtime::sharing::{profile_workload, SharingProfile};
 use carve_trace::WorkloadSpec;
 use sim_core::event::{earliest, NextEvent};
 use sim_core::fast::{FastSet, Slab, TagTable};
-use sim_core::profile::{ProfileReport, StallCat, StallLedger};
-use sim_core::telemetry::{IntervalRecord, Timeline, TraceEvent};
 use sim_core::{
     Cycle, FaultEvent, FaultKind, RecoverySnapshot, ScaledConfig, SimError, Watchdog,
     DEFAULT_WATCHDOG_CYCLES,
@@ -44,6 +40,7 @@ use sim_core::{
 
 use crate::design::{Design, SimConfig};
 use crate::metrics::SimResult;
+use crate::observe::Observer;
 use crate::sanitize::{Sanitizer, Violation};
 
 /// Base address of the RDC carve-out in each GPU's physical space; far
@@ -59,7 +56,7 @@ const CONGESTION_HORIZON: u64 = 1500;
 const MIGRATION_STALL: u64 = 800;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RemotePhase {
+pub(crate) enum RemotePhase {
     Go,
     AtHome,
     Return,
@@ -70,7 +67,7 @@ enum RemotePhase {
 /// warp stall (remote-link vs rdc-miss vs epoch-flush vs
 /// coherence-invalidate). Never consulted by protocol logic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RemoteCause {
+pub(crate) enum RemoteCause {
     /// Plain remote-home read (no RDC in the design, or predictor bypass
     /// without an attributable miss kind).
     Plain,
@@ -85,7 +82,7 @@ enum RemoteCause {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Pending {
+pub(crate) enum Pending {
     /// Local DRAM read feeding a core miss.
     LocalRead { gpu: usize, tag: u64 },
     /// Local DRAM read probing the RDC for a remote line.
@@ -173,24 +170,26 @@ struct FaultState {
 }
 
 #[derive(Debug, Default)]
-struct Traffic {
+pub(crate) struct Traffic {
     local: u64,
     remote: u64,
     cpu: u64,
     rdc_hits: u64,
-    migrations: u64,
+    pub(crate) migrations: u64,
 }
 
-struct System {
+/// The simulated machine. The fields the run observer reads
+/// (`crate::observe`) are crate-visible; the observer never mutates them.
+pub(crate) struct System {
     cfg: ScaledConfig,
     design: Design,
     num_gpus: usize,
-    cores: Vec<GpuCore>,
-    drams: Vec<DramModel>,
-    net: LinkNetwork,
+    pub(crate) cores: Vec<GpuCore>,
+    pub(crate) drams: Vec<DramModel>,
+    pub(crate) net: LinkNetwork,
     cpu_mem: FlatMemory,
     pt: PageTable,
-    carve: Option<Carve>,
+    pub(crate) carve: Option<Carve>,
     predictors: Vec<HitPredictor>,
     /// In-flight system transactions. The slab token *is* the wire token
     /// carried by DRAM/NoC/CPU-memory models, so lookups on completion are
@@ -198,13 +197,13 @@ struct System {
     /// increasing in allocation order — the `delayed` heap's tiebreak
     /// relies on that — and fire-and-forget payloads draw ordered tokens
     /// from the same sequence via `untracked_token`.
-    pending: Slab<Pending>,
+    pub(crate) pending: Slab<Pending>,
     /// Home responses keyed by due cycle: a min-heap so each tick pops
     /// only the entries that are due instead of scanning everything.
     delayed: BinaryHeap<Reverse<(u64, u64)>>, // (due cycle, token)
     ext_retry: Vec<VecDeque<(u64, u64)>>, // per home: (token, line)
     dram_retry: Vec<VecDeque<u64>>,       // per gpu: write addresses
-    traffic: Traffic,
+    pub(crate) traffic: Traffic,
     migrations_buf: Vec<PageMigration>,
     /// Per requester GPU, keyed by the core's miss tag: issue cycle of the
     /// warp-visible read (latency histogram bookkeeping).
@@ -1586,358 +1585,6 @@ impl EngineMode {
     }
 }
 
-/// Per-GPU cumulative counters captured at the previous sample boundary;
-/// interval records are the difference between two of these.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct GpuCum {
-    core: CoreStats,
-    dram: DramStats,
-    link_bytes: u64,
-    rdc_hits: u64,
-    rdc_misses: u64,
-    rdc_insertions: u64,
-    rdc_invalidations: u64,
-}
-
-/// The interval telemetry sampler. Read-only over the [`System`]: it
-/// differences cumulative component counters at interval boundaries and
-/// snapshots point-in-time occupancy, never mutating model state — so a
-/// sampled run's aggregates are bit-identical to an unsampled run's.
-///
-/// Correct under event skipping: [`Sampler::advance_to`] runs before the
-/// tick at `now`, and every cycle between the previous tick and `now` was
-/// provably quiescent but for parked L2 banks' skipped probes, so
-/// cumulative counters at each crossed boundary equal the counters
-/// observed now with those probes credited up to the boundary
-/// ([`GpuCore::stats_before`]).
-struct Sampler {
-    interval: u64,
-    next_at: u64,
-    last_boundary: u64,
-    prev: Vec<GpuCum>,
-    timeline: Timeline,
-}
-
-impl Sampler {
-    fn new(interval: u64, num_gpus: usize) -> Sampler {
-        Sampler {
-            interval,
-            next_at: interval,
-            last_boundary: 0,
-            prev: vec![GpuCum::default(); num_gpus],
-            timeline: Timeline::new(interval),
-        }
-    }
-
-    /// GPU `g`'s counters as stepping reads them just before the tick at
-    /// `end`.
-    fn cum_of(sys: &System, g: usize, end: u64) -> GpuCum {
-        let (rdc_hits, rdc_misses, rdc_insertions, rdc_invalidations) = match &sys.carve {
-            Some(c) => {
-                let s = c.rdc(g).stats();
-                (
-                    s.hits,
-                    s.misses + s.stale_misses,
-                    s.insertions,
-                    s.invalidations,
-                )
-            }
-            None => (0, 0, 0, 0),
-        };
-        GpuCum {
-            core: sys.cores[g].stats_before(Cycle(end)),
-            dram: sys.drams[g].stats(),
-            link_bytes: sys.net.gpu_outbound_bytes(g),
-            rdc_hits,
-            rdc_misses,
-            rdc_insertions,
-            rdc_invalidations,
-        }
-    }
-
-    /// Emits one record per GPU for the interval `[start, end)` and rolls
-    /// the cumulative baseline forward.
-    fn emit(&mut self, sys: &System, start: u64, end: u64) {
-        for g in 0..sys.num_gpus {
-            let cum = Self::cum_of(sys, g, end);
-            let prev = self.prev[g];
-            let snap = sys.cores[g].snapshot();
-            self.timeline.records.push(IntervalRecord {
-                start,
-                end,
-                gpu: g as u32,
-                instructions: cum.core.instructions - prev.core.instructions,
-                active_warps: snap.active_warps() as u64,
-                waiting_mem_warps: snap.waiting_mem_warps() as u64,
-                l1_hits: cum.core.l1_hits - prev.core.l1_hits,
-                l1_misses: cum.core.l1_misses - prev.core.l1_misses,
-                l2_hits: cum.core.l2_hits - prev.core.l2_hits,
-                l2_misses: cum.core.l2_misses - prev.core.l2_misses,
-                mshr_outstanding: snap.mshr_outstanding as u64,
-                outbox_backlog: snap.outbox_backlog as u64,
-                dram_reads: cum.dram.reads - prev.dram.reads,
-                dram_writes: cum.dram.writes - prev.dram.writes,
-                dram_row_hits: cum.dram.row_hits - prev.dram.row_hits,
-                dram_row_misses: cum.dram.row_misses - prev.dram.row_misses,
-                dram_bytes: cum.dram.bytes_transferred - prev.dram.bytes_transferred,
-                link_bytes_out: cum.link_bytes - prev.link_bytes,
-                link_in_flight: sys.net.gpu_outbound_in_flight(g) as u64,
-                rdc_hits: cum.rdc_hits - prev.rdc_hits,
-                rdc_misses: cum.rdc_misses - prev.rdc_misses,
-                rdc_insertions: cum.rdc_insertions - prev.rdc_insertions,
-                rdc_invalidations: cum.rdc_invalidations - prev.rdc_invalidations,
-            });
-            self.prev[g] = cum;
-        }
-        self.last_boundary = end;
-    }
-
-    /// Samples every interval boundary at or before `now`. Must be called
-    /// before the tick at `now` executes.
-    fn advance_to(&mut self, now: u64, sys: &System) {
-        while self.next_at <= now {
-            let (start, end) = (self.last_boundary, self.next_at);
-            self.emit(sys, start, end);
-            self.next_at += self.interval;
-        }
-    }
-
-    /// Closes the final (possibly partial) interval at the run's last
-    /// cycle, so per-interval instruction counts sum to the run total
-    /// exactly.
-    fn finish(mut self, sys: &System, end_cycle: u64) -> Timeline {
-        let residual = (0..sys.num_gpus).any(|g| Self::cum_of(sys, g, end_cycle) != self.prev[g]);
-        if end_cycle > self.last_boundary || residual {
-            let start = self.last_boundary;
-            self.emit(sys, start, end_cycle);
-        }
-        self.timeline
-    }
-}
-
-/// Per-GPU summary of what in-flight protocol traffic is waiting on,
-/// rebuilt by one pending-slab scan per profiled tick.
-#[derive(Debug, Clone, Copy, Default)]
-struct GpuWaitFlags {
-    epoch: bool,
-    inval: bool,
-    rdc: bool,
-    remote: bool,
-    local: bool,
-}
-
-/// The cycle-accounting profiler (DESIGN.md §14). Read-only over the
-/// [`System`], gated exactly like the [`Sampler`]: one `Option` check per
-/// tick when off, and a profiled run's journal is bit-identical to an
-/// unprofiled run's.
-///
-/// Every simulated SM cycle is charged to exactly one [`StallCat`]:
-/// [`Profiler::on_tick`] charges the cycle being ticked from post-tick
-/// state, and [`Profiler::charge_to`] charges the cycles the event-skip
-/// engine jumped over (or a fault froze) with the class captured after the
-/// previous tick — sound because a skipped span is provably quiescent, so
-/// the stall state cannot change inside it. The loop ticks through the
-/// final cycle inclusive while `SimResult::cycles` counts it exclusive, so
-/// [`Profiler::finish`] retracts the last tick's charge; per-GPU totals
-/// then sum to `cycles × SMs` exactly (the tested invariant).
-struct Profiler {
-    num_gpus: usize,
-    sms_per_gpu: usize,
-    ledger: StallLedger,
-    /// Next unaccounted cycle: everything below it has been charged.
-    last: u64,
-    /// Per-(gpu, sm) class for quiescent skipped/frozen cycles, flattened
-    /// `gpu * sms_per_gpu + sm`; the post-tick stall state.
-    span_class: Vec<StallCat>,
-    /// Per-(gpu, sm) class charged at the most recent tick (retracted by
-    /// [`Profiler::finish`]).
-    tick_class: Vec<StallCat>,
-    /// Per-(gpu, sm) cumulative instruction count at the previous tick;
-    /// a delta marks the cycle as issuing.
-    prev_instr: Vec<u64>,
-    /// Stacked-stall interval emission, matching the telemetry interval
-    /// (`None`: totals only).
-    interval: Option<u64>,
-    next_at: u64,
-    last_boundary: u64,
-    /// Scratch for the per-tick pending-slab census.
-    flags: Vec<GpuWaitFlags>,
-}
-
-impl Profiler {
-    fn new(num_gpus: usize, sms_per_gpu: usize, interval: Option<u64>) -> Profiler {
-        let slots = num_gpus * sms_per_gpu;
-        Profiler {
-            num_gpus,
-            sms_per_gpu,
-            ledger: StallLedger::new(num_gpus),
-            last: 0,
-            span_class: vec![StallCat::Idle; slots],
-            tick_class: vec![StallCat::Idle; slots],
-            prev_instr: vec![0; slots],
-            interval,
-            next_at: interval.unwrap_or(u64::MAX),
-            last_boundary: 0,
-            flags: vec![GpuWaitFlags::default(); num_gpus],
-        }
-    }
-
-    /// Charges every cycle in `[last, to)` with the span classes and
-    /// closes any interval boundary crossed (or landed on exactly).
-    fn charge_to(&mut self, to: u64) {
-        loop {
-            if let Some(iv) = self.interval {
-                if self.next_at <= self.last {
-                    self.ledger.flush_interval(self.last_boundary, self.next_at);
-                    self.last_boundary = self.next_at;
-                    self.next_at += iv;
-                    continue;
-                }
-            }
-            if self.last >= to {
-                break;
-            }
-            let end = to.min(self.next_at);
-            let n = end - self.last;
-            for g in 0..self.num_gpus {
-                for s in 0..self.sms_per_gpu {
-                    self.ledger
-                        .add(g, self.span_class[g * self.sms_per_gpu + s], n);
-                }
-            }
-            self.last = end;
-        }
-    }
-
-    /// Exclusive classification of a memory-stalled SM on GPU `g`: the
-    /// farthest-downstream cause in flight wins, structural stalls first.
-    fn classify_mem(core: &GpuCore, f: GpuWaitFlags) -> StallCat {
-        if core.mshr_is_full() {
-            StallCat::MshrFull
-        } else if core.outbox_is_full() {
-            StallCat::LinkQueue
-        } else if f.epoch {
-            StallCat::EpochFlush
-        } else if f.inval {
-            StallCat::CoherenceInvalidate
-        } else if f.rdc {
-            StallCat::RdcMiss
-        } else if f.remote {
-            StallCat::RemoteLink
-        } else if f.local {
-            StallCat::LocalDram
-        } else if core.mshr_outstanding() > 0 {
-            StallCat::L2Miss
-        } else {
-            // Warps waiting on memory with nothing past the L1/bank
-            // pipeline in flight: the miss is still inside the L1.
-            StallCat::L1Miss
-        }
-    }
-
-    /// Charges the cycle that was just ticked at `now` from post-tick
-    /// state, and refreshes the span classes for any skip that follows.
-    fn on_tick(&mut self, now: u64, sys: &System) {
-        self.charge_to(now);
-        for f in &mut self.flags {
-            *f = GpuWaitFlags::default();
-        }
-        let flags = &mut self.flags;
-        // determinism: every arm only ORs `true` into a per-GPU flag, and
-        // boolean OR commutes, so slab order cannot change the result.
-        sys.pending.for_each(|_, p| match *p {
-            Pending::LocalRead { gpu, .. } => flags[gpu].local = true,
-            Pending::RdcProbe { gpu, .. } => flags[gpu].rdc = true,
-            Pending::RemoteRead {
-                requester, cause, ..
-            } => match cause {
-                RemoteCause::Plain => flags[requester].remote = true,
-                RemoteCause::RdcMiss => flags[requester].rdc = true,
-                RemoteCause::Epoch => flags[requester].epoch = true,
-                RemoteCause::Inval => flags[requester].inval = true,
-            },
-            Pending::CpuRead { gpu, .. } => flags[gpu].remote = true,
-            Pending::WriteArrive { .. } | Pending::Invalidate { .. } => {}
-        });
-        for g in 0..self.num_gpus {
-            let core = &sys.cores[g];
-            let mem_class = Self::classify_mem(core, self.flags[g]);
-            for (s, sm) in core.sms().iter().enumerate() {
-                let i = g * self.sms_per_gpu + s;
-                let instr = sm.stats().instructions;
-                let stall = if sm.is_idle() {
-                    StallCat::Idle
-                } else if sm.warps_waiting_mem() > 0 {
-                    mem_class
-                } else {
-                    // Warps resident but none waiting on memory: the
-                    // pipeline is occupied by in-flight compute, which we
-                    // count as issuing rather than inventing a category
-                    // the taxonomy doesn't have.
-                    StallCat::Issuing
-                };
-                let cls = if instr > self.prev_instr[i] {
-                    StallCat::Issuing
-                } else {
-                    stall
-                };
-                self.prev_instr[i] = instr;
-                self.ledger.add(g, cls, 1);
-                self.tick_class[i] = cls;
-                self.span_class[i] = stall;
-            }
-        }
-        self.last = now + 1;
-    }
-
-    /// Retracts the final tick (charged inclusive while `cycles` counts
-    /// exclusive), closes the residual interval, and assembles the report.
-    fn finish(mut self, sys: &System, end_cycle: u64) -> ProfileReport {
-        // A successful run always ends right after an `on_tick` at
-        // `end_cycle`, so `last == end_cycle + 1` and every interval
-        // boundary at or below `end_cycle` has already been flushed. The
-        // final tick's charge is still in the open interval — retract it
-        // *before* closing the residual so the subtraction cannot hit an
-        // already-flushed accumulator.
-        debug_assert_eq!(self.last, end_cycle + 1, "profiler missed cycles");
-        if self.last > end_cycle {
-            for g in 0..self.num_gpus {
-                for s in 0..self.sms_per_gpu {
-                    self.ledger
-                        .retract(g, self.tick_class[g * self.sms_per_gpu + s], 1);
-                }
-            }
-        }
-        if self.interval.is_some() {
-            self.ledger.flush_interval(self.last_boundary, end_cycle);
-        }
-        let (gpus, intervals) = self.ledger.into_parts();
-        let mut dram = Vec::new();
-        for (g, d) in sys.drams.iter().enumerate() {
-            for mut p in d.channel_profiles() {
-                p.gpu = g;
-                dram.push(p);
-            }
-        }
-        let report = ProfileReport {
-            cycles: end_cycle,
-            sms_per_gpu: self.sms_per_gpu,
-            gpus,
-            intervals,
-            dram,
-            links: sys.net.link_occupancies(),
-        };
-        debug_assert!(
-            report
-                .gpus
-                .iter()
-                .all(|g| g.iter().sum::<u64>() == end_cycle * self.sms_per_gpu as u64),
-            "stall categories must sum to cycles × SMs per GPU"
-        );
-        report
-    }
-}
-
 /// Simulates `spec` under `sim` with the event-skipping engine, computing
 /// any needed sharing profile internally.
 ///
@@ -1993,72 +1640,33 @@ pub fn try_run_with_profile_mode(
     let mut now = 0u64;
     let budget = sim.watchdog_cycles.unwrap_or(DEFAULT_WATCHDOG_CYCLES);
     let mut watchdog = Watchdog::with_budget((budget != 0).then_some(budget));
-    // Telemetry: `None` or `Some(0)` leaves sampling off, `Some(n)`
-    // samples every `n` cycles.
-    let telemetry_interval = sim.telemetry_interval.filter(|&n| n != 0);
-    let mut sampler = telemetry_interval.map(|i| Sampler::new(i, num_gpus));
-    // Cycle profiler: same gating discipline as the sampler — one Option
-    // check per tick when off, read-only over the system when on. Interval
-    // rows piggyback on the telemetry interval when both are enabled.
-    let mut profiler = sim
-        .cycle_profile
-        .then(|| Profiler::new(num_gpus, sys.cfg.sms_per_gpu, telemetry_interval));
-    if profiler.is_some() {
+    // Observation (telemetry, cycle profile, event trace) is one optional
+    // observer: an unobserved run pays one `Option` check per hook.
+    let mut obs = Observer::new(sim, num_gpus, sys.cfg.sms_per_gpu);
+    if sim.cycle_profile {
         sys.enable_profiler_tracking();
     }
     if sim.sanitize == Some(true) {
         sys.enable_sanitizer();
     }
-    // Event tracing is free when off: no TraceEvent is ever constructed,
-    // and the per-tick diff checks are skipped.
-    let tracing = sim.event_trace;
-    let mut trace = Vec::new();
-    let mut traced_broadcasts = 0u64;
-    let mut traced_dir_invals = 0u64;
-    let mut traced_migrations = 0u64;
     for kernel in 0..spec.shape.kernels {
+        let boundary = now;
         if kernel > 0 {
             sys.kernel_boundary(Cycle(now));
-            if tracing {
-                trace.push(
-                    TraceEvent::instant("kernel boundary", TraceEvent::SYSTEM_TRACK, now)
-                        .arg("kernel", kernel as u64),
-                );
-                if sys
-                    .carve
-                    .as_ref()
-                    .is_some_and(|c| c.policy() == CoherencePolicy::Software)
-                {
-                    trace.push(TraceEvent::instant(
-                        "epoch invalidation",
-                        TraceEvent::SYSTEM_TRACK,
-                        now,
-                    ));
-                }
-            }
         }
         sys.launch_kernel(kernel, spec.shape.ctas);
         now += sim.kernel_launch_cycles;
         // The launch jump crosses cycles no component could act in; reset
         // the no-progress baseline so it is not counted against the budget.
         watchdog.rebase(Cycle(now), sys.progress_signature());
-        let mut gpu_drained = vec![false; if tracing { num_gpus } else { 0 }];
-        if tracing {
-            for g in 0..num_gpus {
-                trace.push(TraceEvent::begin(format!("kernel {kernel}"), g as u32, now));
-            }
+        if let Some(o) = obs.as_mut() {
+            o.kernel_start(&sys, kernel, boundary, now);
         }
         loop {
-            // Sample crossed interval boundaries *before* ticking at
-            // `now`: counters cover exactly the cycles below each
-            // boundary, and the skipped cycles in between were quiescent.
-            if let Some(s) = sampler.as_mut() {
-                s.advance_to(now, &sys);
-            }
-            // Same pre-tick discipline: skipped cycles were quiescent, so
-            // they carry the class captured after the previous tick.
-            if let Some(p) = profiler.as_mut() {
-                p.charge_to(now);
+            // Observe *before* ticking at `now`: interval boundaries and
+            // skipped cycles below `now` were quiescent.
+            if let Some(o) = obs.as_mut() {
+                o.before_tick(now, &sys);
             }
             // Fault schedule: every event stamped at or before `now`
             // fires here, before the tick — at the exact same cycle
@@ -2074,63 +1682,14 @@ pub fn try_run_with_profile_mode(
                 if let Some(err) = sys.sanitizer_poll(Cycle(now)) {
                     return Err(err);
                 }
-                if let Some(p) = profiler.as_mut() {
-                    p.on_tick(now, &sys);
-                }
-                if tracing {
-                    for (g, drained) in gpu_drained.iter_mut().enumerate() {
-                        if !*drained && sys.cores[g].sms_done() {
-                            *drained = true;
-                            trace.push(TraceEvent::end(format!("kernel {kernel}"), g as u32, now));
-                            trace.push(TraceEvent::begin(format!("drain {kernel}"), g as u32, now));
-                        }
-                    }
-                    if let Some(c) = &sys.carve {
-                        let b = c.total_broadcasts();
-                        if b > traced_broadcasts {
-                            trace.push(
-                                TraceEvent::instant(
-                                    "coherence broadcast",
-                                    TraceEvent::SYSTEM_TRACK,
-                                    now,
-                                )
-                                .arg("count", b - traced_broadcasts),
-                            );
-                            traced_broadcasts = b;
-                        }
-                        let d = c.total_directory_invalidates();
-                        if d > traced_dir_invals {
-                            trace.push(
-                                TraceEvent::instant(
-                                    "directory invalidate",
-                                    TraceEvent::SYSTEM_TRACK,
-                                    now,
-                                )
-                                .arg("count", d - traced_dir_invals),
-                            );
-                            traced_dir_invals = d;
-                        }
-                    }
-                    if sys.traffic.migrations > traced_migrations {
-                        trace.push(
-                            TraceEvent::instant("page migration", TraceEvent::SYSTEM_TRACK, now)
-                                .arg("count", sys.traffic.migrations - traced_migrations),
-                        );
-                        traced_migrations = sys.traffic.migrations;
-                    }
+                if let Some(o) = obs.as_mut() {
+                    o.after_tick(now, &sys);
                 }
                 if sys.quiescent() {
                     break;
                 }
             }
             if let Err(stall) = watchdog.check(Cycle(now), || sys.progress_signature()) {
-                if tracing {
-                    trace.push(
-                        TraceEvent::instant("watchdog trip", TraceEvent::SYSTEM_TRACK, now)
-                            .arg("stalled_since", stall.stalled_since)
-                            .arg("budget", stall.budget),
-                    );
-                }
                 return Err(SimError::WatchdogStall {
                     cycle: stall.cycle,
                     stalled_since: stall.stalled_since,
@@ -2160,24 +1719,17 @@ pub fn try_run_with_profile_mode(
                 });
             }
         }
-        if tracing {
-            // Close this kernel's spans: `drain` for GPUs that finished
-            // their SM work earlier, `kernel` for any that ran to the end.
-            for (g, drained) in gpu_drained.iter().enumerate() {
-                let name = if *drained {
-                    format!("drain {kernel}")
-                } else {
-                    format!("kernel {kernel}")
-                };
-                trace.push(TraceEvent::end(name, g as u32, now));
-            }
+        if let Some(o) = obs.as_mut() {
+            o.kernel_end(now);
         }
     }
     if let Some(err) = sys.sanitizer_finish(Cycle(now)) {
         return Err(err);
     }
-    let timeline = sampler.map(|s| s.finish(&sys, now));
-    let cycle_profile = profiler.map(|p| p.finish(&sys, now));
+    let (timeline, cycle_profile, trace) = match obs {
+        Some(o) => o.finish(&sys, now),
+        None => (None, None, None),
+    };
 
     let mut rdc = RdcStats::default();
     let mut broadcasts = 0;
@@ -2251,7 +1803,7 @@ pub fn try_run_with_profile_mode(
         completed: true,
         timeline,
         profile: cycle_profile,
-        trace: tracing.then_some(trace),
+        trace,
         recovery: sys.recovery_snapshot(Cycle(now)),
     };
     Ok(result)
@@ -2506,8 +2058,8 @@ mod tests {
                 "{}: engine changed the stall totals",
                 design.label()
             );
-            let rows_a: Vec<String> = a.intervals.iter().map(|r| r.csv_line()).collect();
-            let rows_b: Vec<String> = b.intervals.iter().map(|r| r.csv_line()).collect();
+            let rows_a = skip.timeline.expect("sampled").to_csv_string();
+            let rows_b = step.timeline.expect("sampled").to_csv_string();
             assert_eq!(
                 rows_a,
                 rows_b,
@@ -2525,35 +2077,32 @@ mod tests {
         sim.cycle_profile = true;
         let r = try_run_with_profile_mode(&spec, &sim, None, EngineMode::EventSkip).unwrap();
         let report = r.profile.expect("profiled");
+        let rows = r.timeline.expect("sampled").records;
         let sms = report.sms_per_gpu as u64;
-        assert!(!report.intervals.is_empty());
+        assert!(!rows.is_empty());
         // Rows tile [0, cycles) per GPU with no gaps or overlaps, and each
-        // row's categories sum to its width × SMs.
+        // row's categories sum to its width × SMs. Only the final row may
+        // be empty (the last tick landed on a boundary); its stalls are
+        // zero.
         let num_gpus = report.gpus.len();
         let mut expect_start = vec![0u64; num_gpus];
-        for row in &report.intervals {
-            assert_eq!(
-                row.start, expect_start[row.gpu],
-                "gap or overlap at gpu {}",
-                row.gpu
-            );
-            assert!(row.end > row.start);
-            assert_eq!(row.stalls.iter().sum::<u64>(), (row.end - row.start) * sms);
-            expect_start[row.gpu] = row.end;
+        let mut sum = vec![[0u64; sim_core::NUM_STALL_CATS]; num_gpus];
+        for row in &rows {
+            let g = row.gpu as usize;
+            assert_eq!(row.start, expect_start[g], "gap or overlap at gpu {g}");
+            assert!(row.end > row.start || row.end == report.cycles);
+            let stalls = row.stalls.expect("profiled rows carry stalls");
+            assert_eq!(stalls.iter().sum::<u64>(), (row.end - row.start) * sms);
+            for (acc, v) in sum[g].iter_mut().zip(stalls) {
+                *acc += v;
+            }
+            expect_start[g] = row.end;
         }
         for (g, e) in expect_start.iter().enumerate() {
             assert_eq!(*e, report.cycles, "gpu {g} rows must cover the whole run");
         }
         // And the rows sum back to the per-GPU totals.
-        for g in 0..num_gpus {
-            let mut sum = [0u64; sim_core::NUM_STALL_CATS];
-            for row in report.intervals.iter().filter(|r| r.gpu == g) {
-                for (i, v) in row.stalls.iter().enumerate() {
-                    sum[i] += *v;
-                }
-            }
-            assert_eq!(sum, report.gpus[g], "gpu {g} interval rows vs totals");
-        }
+        assert_eq!(sum, report.gpus, "interval rows vs totals");
     }
 
     #[test]

@@ -32,7 +32,12 @@ fn usage_errors_exit_2() {
         &["run"][..],
         &["run", "no-such-workload"][..],
         &["run", "XSBench", "--design", "nope"][..],
+        // `--out` and `--interval` belong to `trace`; `run` rejects them.
+        &["run", "stream-triad", "--gpus", "2", "--out", "x"][..],
+        &["run", "stream-triad", "--gpus", "2", "--interval", "7"][..],
         &["compare"][..],
+        // The profiler's artifacts come from `trace`.
+        &["profile", "stream-triad"][..],
     ] {
         let out = carve_sim(args).output().expect("spawn carve-sim");
         assert_eq!(
@@ -202,10 +207,10 @@ fn fuzz_smoke_batch_stays_in_contract() {
 }
 
 #[test]
-fn profile_subcommand_writes_wellformed_artifacts() {
-    let dir = std::env::temp_dir().join(format!("carve-profile-cli-{}", std::process::id()));
+fn trace_subcommand_writes_wellformed_artifacts() {
+    let dir = std::env::temp_dir().join(format!("carve-trace-cli-{}", std::process::id()));
     let out = carve_sim(&[
-        "profile",
+        "trace",
         "stream-triad",
         "--gpus",
         QUICK_GPUS,
@@ -216,13 +221,13 @@ fn profile_subcommand_writes_wellformed_artifacts() {
     .expect("spawn carve-sim");
     assert!(
         out.status.success(),
-        "profile run failed: {}",
+        "trace run failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("sharing profile") && text.contains("category"),
-        "profile output lacks the sharing section or the cycle table:\n{text}"
+        "trace output lacks the sharing section or the cycle table:\n{text}"
     );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -241,22 +246,30 @@ fn profile_subcommand_writes_wellformed_artifacts() {
             "malformed folded line: {line:?}"
         );
     }
-    let csv = std::fs::read_to_string(dir.join("stalls.csv")).expect("stalls.csv");
+    // One interval row: the counters, then the stall columns, filled.
+    let csv = std::fs::read_to_string(dir.join("timeline.csv")).expect("timeline.csv");
+    let header = csv.lines().next().unwrap_or("");
     assert!(
-        csv.starts_with("start,end,gpu,issuing,"),
-        "stalls.csv header missing:\n{}",
-        csv.lines().next().unwrap_or("")
+        header.starts_with("start,end,gpu,") && header.ends_with(",link_queue"),
+        "timeline.csv header lacks the stall columns:\n{header}"
     );
+    let row = csv.lines().nth(1).expect("at least one interval row");
+    assert!(
+        !row.ends_with(','),
+        "profiled row has empty stall cells: {row}"
+    );
+    assert!(dir.join("trace.json").exists());
+    assert!(!dir.join("stalls.csv").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn profile_subcommand_usage_errors_exit_2() {
+fn trace_subcommand_usage_errors_exit_2() {
     for args in [
-        &["profile"][..],
-        &["profile", "no-such-workload"][..],
-        &["profile", "stream-triad", "--bogus"][..],
-        &["profile", "stream-triad", "--interval", "0"][..],
+        &["trace"][..],
+        &["trace", "no-such-workload"][..],
+        &["trace", "stream-triad", "--bogus"][..],
+        &["trace", "stream-triad", "--interval", "0"][..],
     ] {
         let out = carve_sim(args).output().expect("spawn carve-sim");
         assert_eq!(
