@@ -169,9 +169,9 @@ fn is_tick_path(rel: &str) -> bool {
         || rel.starts_with("crates/carve/src/")
 }
 
-/// Crates whose state can end up encoded in a journal line. `bench` and
-/// `experiments` time wall-clock on purpose (throughput reporting and
-/// campaign bookkeeping) and are out of scope.
+/// Crates whose state can end up encoded in a journal line.
+/// `experiments` times wall-clock on purpose (its binaries report a
+/// campaign's wall time) and is out of scope.
 const JOURNAL_FEEDING_CRATES: [&str; 9] = [
     "sim-core", "system", "carve", "cache", "dram", "gpu", "noc", "trace", "runtime",
 ];
@@ -1053,7 +1053,7 @@ mod tests {
     #[test]
     fn wall_clock_ignored_in_bench_and_experiments() {
         let src = "use std::time::Instant;\n";
-        assert!(scan_file("crates/bench/src/lib.rs", src).is_empty());
+        assert!(scan_file("crates/report/src/lib.rs", src).is_empty());
         assert!(scan_file("crates/experiments/src/campaign.rs", src).is_empty());
     }
 
@@ -1064,11 +1064,11 @@ mod tests {
                    fn h() -> std::path::PathBuf { std::env::temp_dir() }\n\
                    #[cfg(test)]\n\
                    mod tests {\n    fn t() { std::env::var(\"K\").ok(); }\n}\n";
-        let lib = scan_file("crates/bench/src/lib.rs", src);
+        let lib = scan_file("crates/report/src/lib.rs", src);
         assert_eq!(rules_of(&lib), ["env-read", "env-read"]);
         assert_eq!((lib[0].line, lib[1].line), (2, 3));
         for edge in [
-            "crates/bench/src/main.rs",
+            "crates/report/src/main.rs",
             "crates/experiments/src/bin/fig02.rs",
         ] {
             assert!(scan_file(edge, src).is_empty(), "{edge}");

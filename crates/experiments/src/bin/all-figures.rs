@@ -4,10 +4,11 @@
 //! The full (workload × design) matrix — including the figure-14 bandwidth
 //! sweep and the Table V RDC-size/spill sweeps — is fanned across worker
 //! threads up front via [`Campaign::run_parallel`]; the figure functions
-//! then slice the warm cache. Pass `--bench-json` to also write
-//! `results/BENCH_engine.json` with per-point wall-clock timings, and
-//! `--timeline` to journal interval telemetry for every freshly simulated
-//! point to `results/all-figures.timeline.csv`.
+//! then slice the warm cache. Pass `--timeline` to journal interval
+//! telemetry for every freshly simulated point to
+//! `results/all-figures.timeline.csv`. The closing stderr line reports the
+//! campaign's wall time; per-point and per-layer host time are measured by
+//! the benchmark in `bench-suite/`.
 
 use carve_system::{Design, SimConfig};
 use carve_trace::WorkloadSpec;
@@ -56,7 +57,6 @@ fn prefetch_points(c: &Campaign) -> Vec<(WorkloadSpec, SimConfig)> {
 
 fn main() {
     let settings = Settings::resolve(|key| std::env::var_os(key), std::env::args().skip(1));
-    let bench_json = settings.bench_json;
     if settings.quick {
         eprintln!("CARVE_QUICK set: running shrunken workloads");
     }
@@ -79,11 +79,6 @@ fn main() {
     figures::fig13(&mut c).emit(c.results_dir());
     figures::table5(&mut c).emit(c.results_dir());
     figures::fig14(&mut c).emit(c.results_dir());
-    if bench_json {
-        let path = c.results_dir().join("BENCH_engine.json");
-        c.write_bench_json(&path).expect("write BENCH_engine.json");
-        eprintln!("wrote {}", path.display());
-    }
     c.report_sidecars("all-figures");
     eprintln!(
         "campaign complete: {} simulation runs in {:.0}s",

@@ -12,7 +12,7 @@
 //!   tables rebuilt from a journal are identical to tables from live
 //!   runs).
 //! * `fail\t<workload>\t<config-key>\t<attempts>\t<escaped error>` — a
-//!   point that panicked or returned a `SimError` after every retry.
+//!   point that panicked or returned a `SimError`.
 //!
 //! Records stream to the file as each point completes (workers append
 //! under a mutex and flush), so killing the process mid-grid loses at
@@ -25,10 +25,9 @@ use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use carve_system::{
-    profile_workload, try_run_with_profile_mode, Design, ProfileReport, ScaledConfig,
+    profile_workload, try_run_with_profile_mode, Design, EngineMode, ProfileReport, ScaledConfig,
     SharingProfile, SimConfig, SimError, SimResult, Timeline,
 };
 use carve_trace::{workloads, WorkloadSpec};
@@ -36,22 +35,7 @@ use carve_trace::{workloads, WorkloadSpec};
 use crate::par;
 use crate::settings::Settings;
 
-/// Wall-clock record for one simulated campaign point.
-#[derive(Debug, Clone)]
-pub struct PointTiming {
-    /// Workload name (Table II).
-    pub workload: String,
-    /// Derived configuration key (design label + knobs).
-    pub config: String,
-    /// Simulation wall-clock in milliseconds.
-    pub millis: f64,
-    /// Simulated cycles of the run.
-    pub cycles: u64,
-    /// Whether the point ran inside a parallel fan-out.
-    pub parallel: bool,
-}
-
-/// One campaign point that did not produce a result: every attempt either
+/// One campaign point that did not produce a result: its run either
 /// panicked or returned a [`SimError`]. Failures are memoized (and
 /// journaled) like results, so a resumed campaign reproduces the same
 /// failed cells without re-running them.
@@ -61,10 +45,12 @@ pub struct PointFailure {
     pub workload: String,
     /// Derived configuration key of the failed point.
     pub config: String,
-    /// How many attempts were made (1 + retries).
+    /// How many runs were made: always 1 for a point failed by this
+    /// process. Journals written when campaigns still retried may record
+    /// more, and keep resuming.
     pub attempts: usize,
-    /// The last attempt's error: a `SimError` rendering or a panic
-    /// message prefixed with `panic: `.
+    /// The run's error: a `SimError` rendering or a panic message
+    /// prefixed with `panic: `.
     pub error: String,
 }
 
@@ -108,6 +94,13 @@ enum LoadedRecord {
 
 fn ok_line(config: &str, r: &SimResult) -> String {
     format!("ok\t{config}\t{}", r.encode_journal_line())
+}
+
+fn record_line(config: &str, outcome: &Result<SimResult, PointFailure>) -> String {
+    match outcome {
+        Ok(r) => ok_line(config, r),
+        Err(f) => fail_line(f),
+    }
 }
 
 fn fail_line(f: &PointFailure) -> String {
@@ -191,7 +184,6 @@ pub struct Campaign {
     profiles: HashMap<(String, usize), Arc<SharingProfile>>,
     cache: HashMap<(String, String), SimResult>,
     failed: HashMap<(String, String), PointFailure>,
-    timings: Vec<PointTiming>,
     base_cfg: ScaledConfig,
     /// The binary's resolved configuration. Its per-run knobs (telemetry,
     /// profiler, sanitizer, watchdog) are deliberately absent from
@@ -199,11 +191,11 @@ pub struct Campaign {
     /// fails, so they must not split the cache or the journal.
     settings: Settings,
     journal: Option<Journal>,
-    /// Timelines and stall breakdowns collected this process, in
+    /// One entry per point this process simulated to a result, in
     /// point-commit order (which is the deduplicated input order of the
-    /// grids — deterministic across `CARVE_THREADS`). Journal-resumed and
-    /// cache-hit points contribute nothing here: only points actually
-    /// simulated this run carry observations.
+    /// grids — deterministic across `CARVE_THREADS`), with whatever
+    /// timeline and stall breakdown it produced. Journal-resumed and
+    /// cache-hit points contribute nothing here.
     observations: Vec<Observation>,
 }
 
@@ -249,59 +241,31 @@ fn key_of(spec: &WorkloadSpec, sim: &SimConfig) -> (String, String) {
     (spec.name.to_string(), config)
 }
 
-/// Stable 64-bit FNV-1a of a point key, seeding retry-backoff jitter:
-/// the same point backs off identically across runs, independent of any
-/// hasher or thread-schedule state.
-fn jitter_seed(key: &(String, String)) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.0.bytes().chain([0]).chain(key.1.bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// One run attempt cycle: `try_run_with_profile_mode` on the settings'
-/// engine under `catch_unwind`, retried up to `settings.retries` more
-/// times with deterministic exponential backoff ([`par::backoff_delay`]
-/// seeded by the point key). Returns the result and its wall-clock, or
-/// (attempts made, last error).
-///
-/// Failures are classified before retrying: panics and *transient*
-/// `SimError`s (watchdog stalls, checkpoint IO) are worth another
-/// attempt; permanent ones (invalid configuration, sanitizer violations,
-/// cycle-cap exhaustion) are deterministic properties of the point and
-/// fail fast — re-running them would burn a full simulation per retry to
-/// reproduce the same error.
-fn attempt_point(
+/// Runs one point: `try_run_with_profile_mode` on `engine` under
+/// `catch_unwind`, so a panicking point becomes a failed cell instead of
+/// aborting the grid. A failed point is not retried: the simulator is
+/// deterministic and its watchdog counts simulated cycles, so a second
+/// run would reproduce the same error byte for byte.
+fn run_point(
     spec: &WorkloadSpec,
     sim: &SimConfig,
     profile: &SharingProfile,
-    settings: &Settings,
-    seed: u64,
-) -> Result<(SimResult, f64), (usize, String)> {
-    let mut last = String::new();
-    let mut attempts = 0;
-    for attempt in 0..=settings.retries {
-        attempts += 1;
-        if attempt > 0 {
-            std::thread::sleep(par::backoff_delay(attempt - 1, seed));
-        }
-        let started = Instant::now();
-        match catch_unwind(AssertUnwindSafe(|| {
-            try_run_with_profile_mode(spec, sim, Some(profile), settings.sim.engine)
-        })) {
-            Ok(Ok(r)) => return Ok((r, started.elapsed().as_secs_f64() * 1e3)),
-            Ok(Err(e)) => {
-                last = e.to_string();
-                if !e.is_transient() {
-                    return Err((attempts, last));
-                }
-            }
-            Err(payload) => last = format!("panic: {}", par::panic_message(payload.as_ref())),
-        }
-    }
-    Err((attempts, last))
+    engine: EngineMode,
+) -> Result<SimResult, PointFailure> {
+    let error = match catch_unwind(AssertUnwindSafe(|| {
+        try_run_with_profile_mode(spec, sim, Some(profile), engine)
+    })) {
+        Ok(Ok(r)) => return Ok(r),
+        Ok(Err(e)) => e.to_string(),
+        Err(payload) => format!("panic: {}", par::panic_message(payload.as_ref())),
+    };
+    let (workload, config) = key_of(spec, sim);
+    Err(PointFailure {
+        workload,
+        config,
+        attempts: 1,
+        error,
+    })
 }
 
 impl Campaign {
@@ -321,7 +285,6 @@ impl Campaign {
             profiles: HashMap::new(),
             cache: HashMap::new(),
             failed: HashMap::new(),
-            timings: Vec::new(),
             base_cfg: ScaledConfig::default(),
             settings,
             journal: None,
@@ -355,7 +318,7 @@ impl Campaign {
     /// The configuration a point actually runs with: the caller's `sim`
     /// plus this campaign's per-run settings wherever the point leaves
     /// them open. Never consulted by [`key_of`].
-    fn sim_for_attempt(&self, sim: &SimConfig) -> SimConfig {
+    fn sim_for_run(&self, sim: &SimConfig) -> SimConfig {
         let mut run = sim.clone();
         self.settings.sim.apply(&mut run);
         run.telemetry_interval = run.telemetry_interval.or(self.settings.telemetry_interval);
@@ -363,16 +326,22 @@ impl Campaign {
         run
     }
 
-    /// Records a freshly simulated point's timeline and stall breakdown,
-    /// if the point produced either.
-    fn collect_observation(&mut self, key: &(String, String), r: &SimResult) {
-        if r.timeline.is_some() || r.profile.is_some() {
-            self.observations.push(Observation {
-                workload: key.0.clone(),
-                config: key.1.clone(),
-                timeline: r.timeline.clone(),
-                profile: r.profile.clone(),
-            });
+    /// Memoizes the outcome of a point simulated this process and, for a
+    /// result, records its observation.
+    fn commit(&mut self, key: (String, String), outcome: Result<SimResult, PointFailure>) {
+        match outcome {
+            Ok(r) => {
+                self.observations.push(Observation {
+                    workload: key.0.clone(),
+                    config: key.1.clone(),
+                    timeline: r.timeline.clone(),
+                    profile: r.profile.clone(),
+                });
+                self.cache.insert(key, r);
+            }
+            Err(f) => {
+                self.failed.insert(key, f);
+            }
         }
     }
 
@@ -591,7 +560,7 @@ impl Campaign {
     /// # Panics
     ///
     /// Panics if the point fails (config rejected, watchdog stall, cycle
-    /// cap, or worker panic) after every retry. Use
+    /// cap, or worker panic). Use
     /// [`Campaign::try_result`] to keep the failure instead.
     pub fn result(&mut self, spec: &WorkloadSpec, sim: &SimConfig) -> SimResult {
         self.try_result(spec, sim).unwrap_or_else(|f| panic!("{f}"))
@@ -606,45 +575,20 @@ impl Campaign {
         sim: &SimConfig,
     ) -> Result<SimResult, PointFailure> {
         let key = key_of(spec, sim);
-        if let Some(r) = self.cache.get(&key) {
-            return Ok(r.clone());
-        }
-        if let Some(f) = self.failed.get(&key) {
-            return Err(f.clone());
-        }
-        // Profiles are keyed to the machine size the point runs on;
-        // single-GPU runs use no profile-driven policy.
-        let profile = self.profile_arc(spec, sim.design.num_gpus(&sim.cfg));
-        let run_sim = self.sim_for_attempt(sim);
-        match attempt_point(spec, &run_sim, &profile, &self.settings, jitter_seed(&key)) {
-            Ok((r, millis)) => {
-                if let Some(j) = &self.journal {
-                    j.append(&ok_line(&key.1, &r));
-                }
-                self.collect_observation(&key, &r);
-                self.timings.push(PointTiming {
-                    workload: key.0.clone(),
-                    config: key.1.clone(),
-                    millis,
-                    cycles: r.cycles,
-                    parallel: false,
-                });
-                self.cache.insert(key, r.clone());
-                Ok(r)
+        if !self.cache.contains_key(&key) && !self.failed.contains_key(&key) {
+            // Profiles are keyed to the machine size the point runs on;
+            // single-GPU runs use no profile-driven policy.
+            let profile = self.profile_arc(spec, sim.design.num_gpus(&sim.cfg));
+            let run_sim = self.sim_for_run(sim);
+            let outcome = run_point(spec, &run_sim, &profile, self.settings.sim.engine);
+            if let Some(j) = &self.journal {
+                j.append(&record_line(&key.1, &outcome));
             }
-            Err((attempts, error)) => {
-                let f = PointFailure {
-                    workload: key.0.clone(),
-                    config: key.1.clone(),
-                    attempts,
-                    error,
-                };
-                if let Some(j) = &self.journal {
-                    j.append(&fail_line(&f));
-                }
-                self.failed.insert(key, f.clone());
-                Err(f)
-            }
+            self.commit(key.clone(), outcome);
+        }
+        match self.cache.get(&key) {
+            Some(r) => Ok(r.clone()),
+            None => Err(self.failed[&key].clone()),
         }
     }
 
@@ -681,12 +625,11 @@ impl Campaign {
     }
 
     /// Panic-isolated [`Campaign::run_parallel`]: one poisoned point is
-    /// reported as an `Err` cell (after `settings.retries` retries) while
-    /// every other point completes. Completed and failed points stream to
-    /// the journal as workers finish, so a killed grid resumes with only
-    /// the unfinished points re-run — producing byte-identical tables
-    /// whether run straight through, killed-and-resumed, or run with a
-    /// different thread count.
+    /// reported as an `Err` cell while every other point completes.
+    /// Completed and failed points stream to the journal as workers
+    /// finish, so a killed grid resumes with only the unfinished points
+    /// re-run — producing byte-identical tables whether run straight
+    /// through, killed-and-resumed, or run with a different thread count.
     pub fn try_run_parallel(
         &mut self,
         points: &[(WorkloadSpec, SimConfig)],
@@ -706,53 +649,22 @@ impl Campaign {
                 continue;
             }
             let profile = self.profile_arc(spec, sim.design.num_gpus(&sim.cfg));
-            jobs.push((spec, self.sim_for_attempt(sim), profile));
+            jobs.push((spec, self.sim_for_run(sim), profile));
         }
-        let threads = self.settings.threads;
-        let parallel = jobs.len() > 1 && threads > 1;
         let journal = self.journal.as_ref();
-        let settings = &self.settings;
-        // attempt_point catches panics, so no cell can abort the grid.
-        let outcomes = par::ordered_map(&jobs, threads, |(spec, sim, profile)| {
+        let engine = self.settings.sim.engine;
+        // run_point catches panics, so no cell can abort the grid.
+        let outcomes = par::ordered_map(&jobs, self.settings.threads, |(spec, sim, profile)| {
             let key = key_of(spec, sim);
-            let outcome = attempt_point(spec, sim, profile, settings, jitter_seed(&key));
+            let outcome = run_point(spec, sim, profile, engine);
             // Stream the finished point so a killed campaign resumes here.
             if let Some(j) = journal {
-                match &outcome {
-                    Ok((r, _)) => j.append(&ok_line(&key.1, r)),
-                    Err((attempts, error)) => j.append(&fail_line(&PointFailure {
-                        workload: key.0.clone(),
-                        config: key.1.clone(),
-                        attempts: *attempts,
-                        error: error.clone(),
-                    })),
-                }
+                j.append(&record_line(&key.1, &outcome));
             }
             (key, outcome)
         });
         for (key, outcome) in outcomes {
-            match outcome {
-                Ok((r, millis)) => {
-                    self.collect_observation(&key, &r);
-                    self.timings.push(PointTiming {
-                        workload: key.0.clone(),
-                        config: key.1.clone(),
-                        millis,
-                        cycles: r.cycles,
-                        parallel,
-                    });
-                    self.cache.insert(key, r);
-                }
-                Err((attempts, error)) => {
-                    let f = PointFailure {
-                        workload: key.0.clone(),
-                        config: key.1.clone(),
-                        attempts,
-                        error,
-                    };
-                    self.failed.insert(key, f);
-                }
-            }
+            self.commit(key, outcome);
         }
         points
             .iter()
@@ -771,56 +683,6 @@ impl Campaign {
     pub fn cached_runs(&self) -> usize {
         self.cache.len()
     }
-
-    /// Wall-clock records for every point simulated so far.
-    pub fn timings(&self) -> &[PointTiming] {
-        &self.timings
-    }
-
-    /// Writes the per-point wall-clock records as JSON (hand-rolled — the
-    /// workspace vendors no serialization crates).
-    pub fn write_bench_json(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let engine = self.settings.sim.engine.label();
-        let total: f64 = self.timings.iter().map(|t| t.millis).sum();
-        let mut out = std::fs::File::create(path)?;
-        writeln!(out, "{{")?;
-        writeln!(out, "  \"engine\": \"{engine}\",")?;
-        writeln!(out, "  \"threads\": {},", self.settings.threads)?;
-        writeln!(out, "  \"quick\": {},", self.settings.quick)?;
-        writeln!(out, "  \"points\": {},", self.timings.len())?;
-        writeln!(out, "  \"total_millis\": {total:.3},")?;
-        writeln!(out, "  \"runs\": [")?;
-        for (i, t) in self.timings.iter().enumerate() {
-            let comma = if i + 1 == self.timings.len() { "" } else { "," };
-            writeln!(
-                out,
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"millis\": {:.3}, \
-                 \"cycles\": {}, \"parallel\": {}}}{comma}",
-                json_escape(&t.workload),
-                json_escape(&t.config),
-                t.millis,
-                t.cycles,
-                t.parallel,
-            )?;
-        }
-        writeln!(out, "  ]")?;
-        writeln!(out, "}}")?;
-        Ok(())
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -912,17 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn timings_record_every_simulated_point() {
-        let mut c = quick_campaign();
-        let spec = c.specs()[0].clone();
-        c.design_result(&spec, Design::NumaGpu);
-        c.design_result(&spec, Design::NumaGpu); // cache hit: no new timing
-        assert_eq!(c.timings().len(), 1);
-        assert!(c.timings()[0].millis >= 0.0);
-        assert!(!c.timings()[0].parallel);
-    }
-
-    #[test]
     fn forced_panic_point_is_a_failed_cell_and_the_rest_complete() {
         let dir = test_dir("poison");
         let path = dir.join("grid.journal");
@@ -958,7 +809,7 @@ mod tests {
         assert_eq!(n, 3, "two ok records and one fail record resumed");
         let cells2 = resumed.try_run_parallel(&points);
         assert_eq!(table_of(&cells2), table);
-        assert!(resumed.timings().is_empty(), "no point re-simulated");
+        assert!(resumed.observations.is_empty(), "no point re-simulated");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1002,7 +853,7 @@ mod tests {
         assert_eq!(n, 2, "only intact records resume");
         let table_b = table_of(&b.try_run_parallel(&points));
         assert_eq!(table_b, table_a);
-        assert_eq!(b.timings().len(), 2, "exactly the missing points re-ran");
+        assert_eq!(b.observations.len(), 2, "exactly the missing points re-ran");
 
         // After the resumed run the journal is whole again: a third
         // campaign resumes all four points without simulating.
@@ -1010,7 +861,7 @@ mod tests {
         assert_eq!(c.set_journal_path(&path).expect("reload"), points.len());
         let table_c = table_of(&c.try_run_parallel(&points));
         assert_eq!(table_c, table_a);
-        assert!(c.timings().is_empty());
+        assert!(c.observations.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1051,7 +902,7 @@ mod tests {
         assert_eq!(n, 1, "only the intact record resumes");
         let table_b = table_of(&b.try_run_parallel(&points));
         assert_eq!(table_b, table_a);
-        assert_eq!(b.timings().len(), 1, "exactly the corrupt point re-ran");
+        assert_eq!(b.observations.len(), 1, "exactly the corrupt point re-ran");
 
         // A journal whose *header* is corrupt degrades to an empty resume
         // (never an abort): all points re-run, and the rewritten file is
@@ -1065,28 +916,27 @@ mod tests {
     }
 
     #[test]
-    fn permanent_failures_fail_fast_while_transient_ones_retry() {
-        let mut c = quick_campaign();
-        c.settings.retries = 3;
-        let spec = c.specs()[0].clone();
-        // ConfigInvalid is deterministic: with 3 retries armed, the point
-        // must still make exactly one attempt. (The broken knob must not
-        // disturb the sharing profile, which is computed before the run.)
+    fn failed_points_make_one_attempt_and_fail_identically() {
+        // An invalid link (rejected before the run; the broken knob must
+        // not disturb the sharing profile, which is computed first) and an
+        // injected stall (tripped by the cycle-counting watchdog).
         let mut bad = SimConfig::new(Design::NumaGpu);
         bad.cfg.link_bytes_per_cycle = -1.0;
-        let f = c.try_result(&spec, &bad).expect_err("invalid config fails");
-        assert_eq!(f.attempts, 1, "permanent error must not retry: {f}");
-        assert!(f.error.contains("link"), "{}", f.error);
-
-        // A watchdog stall is transient: every retry runs (and the
-        // deterministic stall re-trips each time).
         let mut stall = SimConfig::new(Design::NumaGpu);
         stall.stall_inject_at = Some(500);
         stall.watchdog_cycles = Some(5_000);
-        c.settings.retries = 1;
-        let f = c.try_result(&spec, &stall).expect_err("stall fails");
-        assert_eq!(f.attempts, 2, "transient error retries: {f}");
-        assert!(f.error.contains("watchdog"), "{}", f.error);
+        for (sim, needle) in [(bad, "link"), (stall, "watchdog")] {
+            // Two fresh campaigns fail the point with the same bytes: a
+            // second run could only reproduce the error, so none is made.
+            let [a, b] = [(); 2].map(|()| {
+                let mut c = quick_campaign();
+                let spec = c.specs()[0].clone();
+                c.try_result(&spec, &sim).expect_err("point fails")
+            });
+            assert_eq!(a.attempts, 1, "{a}");
+            assert!(a.error.contains(needle), "{}", a.error);
+            assert_eq!(a, b, "failure must be deterministic");
+        }
     }
 
     #[test]
@@ -1346,20 +1196,6 @@ mod tests {
         assert!(b.observations.is_empty());
         assert!(b.write_sidecars("never-used").expect("no-op").is_empty());
         assert!(!dir.join("never-used.timeline.csv").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_json_is_written() {
-        let mut c = quick_campaign();
-        let spec = c.specs()[0].clone();
-        c.design_result(&spec, Design::NumaGpu);
-        let dir = std::env::temp_dir().join("carve-bench-json-test");
-        let path = dir.join("BENCH_engine.json");
-        c.write_bench_json(&path).expect("write bench json");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert!(text.contains("\"runs\""));
-        assert!(text.contains("\"engine\""));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

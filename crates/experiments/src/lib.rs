@@ -17,7 +17,6 @@
 //!   `results/`).
 //! * `CARVE_THREADS` — worker threads for parallel campaign fan-out
 //!   (default: available parallelism).
-//! * `CARVE_RETRIES` — extra attempts for a failed point (default 0).
 //! * `CARVE_TELEMETRY_INTERVAL` — interval telemetry for every simulated
 //!   point (`--timeline` alone samples every 5000 cycles).
 //! * `CARVE_STEP=1`, `CARVE_SANITIZE=1`, `CARVE_WATCHDOG_CYCLES` — the
@@ -25,8 +24,10 @@
 //!   [`carve_system::SimSettings`]).
 //!
 //! Flags: `--timeline` and `--profile` write per-point interval telemetry
-//! and stall breakdowns next to the tables; `all-figures --bench-json`
-//! also writes per-point timings.
+//! and stall breakdowns next to the tables.
+//!
+//! The crate measures no host time: simulator speed is judged by the
+//! benchmark in `bench-suite/`.
 
 #![warn(missing_docs)]
 
@@ -36,7 +37,7 @@ pub mod par;
 pub mod settings;
 pub mod table;
 
-pub use campaign::{Campaign, PointFailure, PointTiming};
+pub use campaign::{Campaign, PointFailure};
 pub use settings::Settings;
 pub use table::Table;
 

@@ -7,8 +7,7 @@
 //! first. The map is first-party (`std::thread::scope` + an atomic work
 //! index) since the workspace vendors no external crates. It does not
 //! catch panics: a caller that must survive a failing item catches inside
-//! `f`, as the campaign's point runner does, with [`panic_message`] and
-//! [`backoff_delay`] for its retry loop.
+//! `f`, as the campaign's point runner does with [`panic_message`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -51,29 +50,6 @@ where
         .collect()
 }
 
-/// Base delay of the first retry; each further retry doubles it.
-const BACKOFF_BASE_MS: u64 = 50;
-/// Ceiling on any single retry delay.
-const BACKOFF_CAP_MS: u64 = 2_000;
-
-/// Delay before retry `attempt` (0-based) of the work item identified by
-/// `seed`: exponential (50ms, 100ms, … capped at 2s) with *deterministic*
-/// equal-jitter — the random half is drawn from a `Stream` keyed on
-/// (seed, attempt), so a re-run of the same campaign sleeps the same
-/// schedule. Jitter de-synchronizes retries across worker threads (a grid
-/// whose points all fail at once must not retry in lockstep) without
-/// introducing wall-clock randomness into an otherwise reproducible run.
-pub fn backoff_delay(attempt: usize, seed: u64) -> std::time::Duration {
-    let exp = u32::try_from(attempt.min(10)).expect("bounded above");
-    let full = BACKOFF_BASE_MS
-        .saturating_mul(1u64 << exp)
-        .min(BACKOFF_CAP_MS);
-    let half = full / 2;
-    let jitter = sim_core::rng::Stream::from_parts(&[seed, attempt as u64, 0x042a_c0ff])
-        .gen_range(0, half + 1);
-    std::time::Duration::from_millis(half + jitter)
-}
-
 /// Renders a `catch_unwind` payload as the panic message it carried.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -113,24 +89,6 @@ mod tests {
         for threads in [1, 2, 8] {
             assert_eq!(ordered_map(&items, threads, f), seq, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_growing() {
-        // Same (attempt, seed) → same delay, every run.
-        assert_eq!(backoff_delay(2, 7), backoff_delay(2, 7));
-        // Different seeds de-synchronize within the same attempt window.
-        let spread: std::collections::BTreeSet<_> =
-            (0..32).map(|seed| backoff_delay(3, seed)).collect();
-        assert!(spread.len() > 1, "jitter must vary across seeds");
-        for attempt in 0..12 {
-            let d = backoff_delay(attempt, 1).as_millis() as u64;
-            let full = (BACKOFF_BASE_MS << attempt.min(10)).min(BACKOFF_CAP_MS);
-            // Equal-jitter envelope: [full/2, full].
-            assert!(d >= full / 2 && d <= full, "attempt {attempt}: {d}ms");
-        }
-        // The cap holds even for absurd attempt counts.
-        assert!(backoff_delay(usize::MAX, 0).as_millis() as u64 <= BACKOFF_CAP_MS);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct Settings {
     /// `CARVE_THREADS` (min 1): worker threads for the parallel fan-out;
     /// default the machine's available parallelism.
     pub threads: usize,
-    /// `CARVE_RETRIES`: extra attempts for a failed point (default 0).
-    pub retries: usize,
     /// `CARVE_RESULTS_DIR`: where tables, journals and sidecars go
     /// (default `results`).
     pub results_dir: PathBuf,
@@ -32,8 +30,6 @@ pub struct Settings {
     /// `--profile`: the cycle-accounting profiler for every simulated
     /// point.
     pub profile: bool,
-    /// `--bench-json`: `all-figures` also writes per-point timings.
-    pub bench_json: bool,
     /// Engine, sanitizer and watchdog (`CARVE_STEP`, `CARVE_SANITIZE`,
     /// `CARVE_WATCHDOG_CYCLES`).
     pub sim: SimSettings,
@@ -48,20 +44,18 @@ impl Default for Settings {
 impl Settings {
     /// Resolves the settings from `lookup`, a view of the process
     /// environment, and `args`, the command line after the program name.
-    /// Arguments other than `--timeline`, `--profile` and `--bench-json`
-    /// are ignored. An unparsable number warns on stderr and keeps its
+    /// Arguments other than `--timeline` and `--profile` are ignored. An unparsable number warns on stderr and keeps its
     /// default.
     pub fn resolve<I>(lookup: impl Fn(&str) -> Option<OsString>, args: I) -> Settings
     where
         I: IntoIterator,
         I::Item: AsRef<str>,
     {
-        let (mut timeline, mut profile, mut bench_json) = (false, false, false);
+        let (mut timeline, mut profile) = (false, false);
         for arg in args {
             match arg.as_ref() {
                 "--timeline" => timeline = true,
                 "--profile" => profile = true,
-                "--bench-json" => bench_json = true,
                 _ => {}
             }
         }
@@ -77,12 +71,6 @@ impl Settings {
                 || std::thread::available_parallelism().map_or(1, |n| n.get()),
                 |n| n.max(1),
             );
-        let retries = env_number(&lookup, "CARVE_RETRIES")
-            .unwrap_or_else(|v| {
-                eprintln!("warning: CARVE_RETRIES={v:?} is not a retry count; using 0");
-                None
-            })
-            .unwrap_or(0);
         let interval = env_number(&lookup, "CARVE_TELEMETRY_INTERVAL")
             .unwrap_or_else(|v| {
                 eprintln!(
@@ -95,7 +83,6 @@ impl Settings {
         Settings {
             quick: lookup("CARVE_QUICK").is_some(),
             threads,
-            retries,
             results_dir: lookup("CARVE_RESULTS_DIR")
                 .map_or_else(|| "results".into(), PathBuf::from),
             telemetry_interval: match interval {
@@ -103,7 +90,6 @@ impl Settings {
                 interval => interval,
             },
             profile,
-            bench_json,
             sim: SimSettings::resolve(&lookup),
         }
     }
@@ -127,9 +113,8 @@ mod tests {
     #[test]
     fn empty_environment_gives_the_defaults() {
         let s = Settings::resolve(env(&[]), ["--unrelated"]);
-        assert!(!s.quick && !s.profile && !s.bench_json);
+        assert!(!s.quick && !s.profile);
         assert!(s.threads >= 1);
-        assert_eq!(s.retries, 0);
         assert_eq!(s.results_dir, PathBuf::from("results"));
         assert_eq!(s.telemetry_interval, None);
         assert_eq!(s.sim, SimSettings::default());
@@ -142,15 +127,14 @@ mod tests {
             env(&[
                 ("CARVE_QUICK", ""),
                 ("CARVE_THREADS", "3"),
-                ("CARVE_RETRIES", "2"),
                 ("CARVE_RESULTS_DIR", "campaign-out"),
                 ("CARVE_TELEMETRY_INTERVAL", "700"),
                 ("CARVE_STEP", "1"),
             ]),
-            ["--timeline", "--profile", "--bench-json"],
+            ["--timeline", "--profile"],
         );
-        assert!(s.quick && s.profile && s.bench_json);
-        assert_eq!((s.threads, s.retries), (3, 2));
+        assert!(s.quick && s.profile);
+        assert_eq!(s.threads, 3);
         assert_eq!(s.results_dir, PathBuf::from("campaign-out"));
         assert_eq!(s.telemetry_interval, Some(700));
         assert_eq!(s.sim.engine, EngineMode::Step);
@@ -174,14 +158,12 @@ mod tests {
         let s = Settings::resolve(
             env(&[
                 ("CARVE_THREADS", "many"),
-                ("CARVE_RETRIES", "-1"),
                 ("CARVE_TELEMETRY_INTERVAL", "often"),
                 ("CARVE_WATCHDOG_CYCLES", "never"),
             ]),
             ["--timeline"],
         );
         assert_eq!(s.threads, defaults.threads);
-        assert_eq!(s.retries, 0);
         assert_eq!(s.telemetry_interval, Some(DEFAULT_TIMELINE_INTERVAL));
         assert_eq!(s.sim.watchdog_cycles, None);
     }

@@ -50,7 +50,8 @@ pub struct JournalFailure {
     pub workload: String,
     /// The campaign config key.
     pub config: String,
-    /// Attempts spent before giving up.
+    /// Runs the campaign made of the point: 1, except in journals written
+    /// when campaigns still retried failed points.
     pub attempts: u32,
     /// The (unescaped, possibly multi-line) error diagnostic.
     pub error: String,

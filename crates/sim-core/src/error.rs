@@ -89,20 +89,6 @@ impl SimError {
             message: err.to_string(),
         }
     }
-
-    /// Whether retrying the same run could plausibly succeed. Watchdog
-    /// stalls (timing/livelock, may clear under a different interleaving
-    /// of host threads' wall-clock) and checkpoint I/O (transient file
-    /// system pressure) are transient; configuration, sanitizer,
-    /// resource-cap, and fabric-partition failures are deterministic
-    /// properties of the (config, seed) pair and fail the same way every
-    /// time — campaign retry loops fail fast on those.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            SimError::WatchdogStall { .. } | SimError::CheckpointIo { .. }
-        )
-    }
 }
 
 impl fmt::Display for SimError {
@@ -198,40 +184,6 @@ mod tests {
         assert!(s.contains("gpu0"));
         assert!(s.contains("gpu3"));
         assert!(s.contains("cycle 777"));
-    }
-
-    #[test]
-    fn transience_classification() {
-        assert!(SimError::WatchdogStall {
-            cycle: 1,
-            stalled_since: 0,
-            budget: 1,
-            diagnostic: String::new(),
-        }
-        .is_transient());
-        assert!(SimError::CheckpointIo {
-            path: "x".into(),
-            message: "y".into(),
-        }
-        .is_transient());
-        assert!(!SimError::config("bad").is_transient());
-        assert!(!SimError::SanitizerViolation {
-            invariant: "noc-conservation".into(),
-            cycle: 1,
-            detail: String::new(),
-        }
-        .is_transient());
-        assert!(!SimError::FabricPartitioned {
-            from: "gpu0".into(),
-            to: "cpu".into(),
-            cycle: 1,
-        }
-        .is_transient());
-        assert!(!SimError::ResourceExhausted {
-            what: "cycles".into(),
-            limit: 1,
-        }
-        .is_transient());
     }
 
     #[test]

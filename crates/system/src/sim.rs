@@ -1575,16 +1575,6 @@ pub enum EngineMode {
     Step,
 }
 
-impl EngineMode {
-    /// The name benchmark reports record the engine under.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Step => "step",
-            EngineMode::EventSkip => "event-skip",
-        }
-    }
-}
-
 /// Simulates `spec` under `sim` with the event-skipping engine, computing
 /// any needed sharing profile internally.
 ///
